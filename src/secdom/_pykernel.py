@@ -63,8 +63,11 @@ def solve_level(
     """Scan all k-subsets in lexicographic order for a 2-secure dominating set.
 
     Candidates failing the plain domination test are pruned before the pair
-    check.  Returns (first valid subset or None, subsets examined).
+    check.  Returns (first valid subset or None, subsets examined); a level
+    k <= 0 examines nothing, as in the compiled kernel.
     """
+    if k <= 0:
+        return None, 0
     n = len(masks)
     full = (1 << n) - 1
     examined = 0

@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 from . import experiments
 from .domination import (
+    DEFAULT_DOMINATION_BUDGET,
     BudgetExceededError,
     DOMINATING,
     TWO_DOMINATING,
@@ -23,6 +24,7 @@ from .gadgets import apx_gadget, generate, gs_graph, inapprox_gadget
 from .graphio import GraphParseError, parse_graph, write_graph, write_roles
 from .graphs import GraphError
 from .secure import (
+    DEFAULT_2SDS_BUDGET,
     DisconnectedGraphError,
     PatchInsufficientError,
     approx_2sds,
@@ -79,11 +81,13 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     G = parse_graph(args.graph)
     if args.problem == "2sds":
-        report = exact_gamma_2s(G, budget=args.budget or 16)
+        budget = DEFAULT_2SDS_BUDGET if args.budget is None else args.budget
+        report = exact_gamma_2s(G, budget=budget)
         print(f"gamma2s={report.value}")
     else:
         kind = DOMINATING if args.problem == "dom" else TWO_DOMINATING
-        report = exact_minimum(G, kind, budget=args.budget or 24)
+        budget = DEFAULT_DOMINATION_BUDGET if args.budget is None else args.budget
+        report = exact_minimum(G, kind, budget=budget)
         label = "gamma" if args.problem == "dom" else "gamma2"
         print(f"{label}={report.value}")
     print(f"set={_fmt_set(report.witness)}")

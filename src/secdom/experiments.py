@@ -8,14 +8,11 @@ import sys
 import time
 from typing import Optional, TextIO
 
-from .domination import DOMINATING, exact_minimum
+from .domination import DEFAULT_DOMINATION_BUDGET, DOMINATING, exact_minimum
 from .enumgraphs import connected_graphs
 from .gadgets import apx_gadget, generate, gs_graph, inapprox_gadget
 from .graphs import Graph, build_graph
-from .secure import approx_2sds, exact_gamma_2s, verify_2sds
-
-EXACT_2SDS_CAP = 16
-EXACT_DOM_CAP = 24
+from .secure import DEFAULT_2SDS_BUDGET, approx_2sds, exact_gamma_2s, verify_2sds
 
 
 def _report(out: TextIO, ok: bool, check: str, label: str, detail: str) -> bool:
@@ -69,7 +66,7 @@ def run_identities(
                     f"value={gadget.n} expected={G.n + 5}",
                 )
             )
-            if gadget.n <= EXACT_2SDS_CAP:
+            if gadget.n <= DEFAULT_2SDS_BUDGET:
                 g2s = exact_gamma_2s(gadget).value
                 tally(
                     _report(
@@ -105,7 +102,7 @@ def run_identities(
                         f"delta={result.graph.max_degree()}",
                     )
                 )
-                if result.graph.n <= EXACT_2SDS_CAP:
+                if result.graph.n <= DEFAULT_2SDS_BUDGET:
                     g2s = exact_gamma_2s(result.graph).value
                     expected = gamma + 2 * ceil_half
                     tally(
@@ -123,7 +120,7 @@ def run_identities(
             # has a neighbor inside G)
             result = gs_graph(G)
             gs = result.graph
-            if G.n >= 2 and gs.n <= EXACT_2SDS_CAP:
+            if G.n >= 2 and gs.n <= DEFAULT_2SDS_BUDGET:
                 g2s = exact_gamma_2s(gs).value
                 tally(
                     _report(
@@ -134,7 +131,7 @@ def run_identities(
                         f"gamma2s={g2s} expected={3 * G.n}",
                     )
                 )
-            if gs.n <= EXACT_DOM_CAP:
+            if gs.n <= DEFAULT_DOMINATION_BUDGET:
                 gs_gamma = exact_minimum(gs, DOMINATING).value
                 tally(
                     _report(

@@ -29,16 +29,3 @@ def solve_level(
     if _kernel is not None and len(masks) <= _COMPILED_MAX_N:
         return _kernel.solve_level(list(masks), k)
     return _pykernel.solve_level(masks, k)
-
-
-def is_2sds_mask(masks: Sequence[int], n: int, smask: int) -> bool:
-    """Pair-defense check of a set bitmask (assumes nothing about domination)."""
-    if _kernel is not None and n <= _COMPILED_MAX_N:
-        full = (1 << n) - 1
-        if not _pykernel.dominates(masks, smask, full):
-            return False
-        return _kernel.is_2sds(list(masks), n, smask)
-    full = (1 << n) - 1
-    return _pykernel.dominates(masks, smask, full) and _pykernel.is_2sds(
-        masks, n, smask
-    )

@@ -9,6 +9,7 @@ from typing import Optional
 
 from . import kernel
 from .domination import (
+    DEFAULT_DOMINATION_BUDGET,
     BudgetExceededError,
     DOMINATING,
     SolveReport,
@@ -206,7 +207,7 @@ def approx_2sds(G: Graph) -> tuple[int, ...]:
 def dom_set_approx(
     G: Graph,
     k: int,
-    budget: int = 24,
+    budget: int = DEFAULT_DOMINATION_BUDGET,
 ) -> tuple[int, ...]:
     """Dominating-set approximation built on the 2-SDS pipeline.
 

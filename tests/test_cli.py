@@ -148,6 +148,15 @@ class TestSolve:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("problem", ["2sds", "dom", "2dom"])
+    def test_zero_budget_is_not_the_default(self, capsys, p3_file, problem):
+        code, out, err = run(
+            capsys, "solve", p3_file, "--problem", problem, "--budget", "0"
+        )
+        assert code == 3
+        assert "budget is 0" in err
+        assert out == ""
+
 
 class TestApprox:
     def test_approx_2sds_star(self, capsys, star_file):

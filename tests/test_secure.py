@@ -174,3 +174,9 @@ class TestKernelBackends:
             assert kernel._kernel.solve_level(masks, k) == _pykernel.solve_level(
                 masks, k
             )
+
+    @pytest.mark.parametrize("k", [-1, 0, 4])
+    def test_pure_level_outside_range_examines_nothing(self, k):
+        # the compiled kernel's contract for k <= 0 and k > n
+        masks = list(path(3).closed_masks())
+        assert _pykernel.solve_level(masks, k) == (None, 0)
