@@ -10,16 +10,14 @@ Usage: python3 benchmarks/bench_kernel.py
 import time
 
 from secdom import _pykernel, kernel
-from secdom.domination import DOMINATING, exact_minimum
 from secdom.gadgets import generate, gs_graph, inapprox_gadget
 from secdom.graphs import build_graph
 
 
 def full_scan(solve_level, G):
-    """Size-increasing scan identical to the exact solver's search loop."""
+    """Size-increasing scan from level 2, as in the exact solver."""
     masks = list(G.closed_masks())
-    gamma = exact_minimum(G, DOMINATING).value
-    for k in range(max(2, gamma), G.n + 1):
+    for k in range(2, G.n + 1):
         witness, _ = solve_level(masks, k)
         if witness is not None:
             return k

@@ -1,16 +1,16 @@
 """Checkers and solvers for classical domination and 2-domination.
 
 Includes the two greedy subroutines consumed by the 2-SDS approximation
-pipeline and a small exact solver used as the oracle for all optimum
-comparisons.
+pipeline and an exact solver, run on the pure-Python level scan of
+`_pykernel`, used as the oracle for all optimum comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
+from . import _pykernel
 from .graphs import Graph, check_vertex_set
 
 DOMINATING = "dominating"
@@ -117,11 +117,21 @@ def greedy_2dominating(G: Graph) -> tuple[int, ...]:
     return tuple(sorted(picked))
 
 
+def _two_dominates(masks: Sequence[int], dmask: int) -> bool:
+    """Each v outside D has 2 neighbors in D (N[v] & D = N(v) & D there)."""
+    for v in range(len(masks)):
+        if not (dmask >> v) & 1 and (masks[v] & dmask).bit_count() < 2:
+            return False
+    return True
+
+
 def exact_minimum(
     G: Graph, kind: str, budget: int = DEFAULT_DOMINATION_BUDGET
 ) -> SolveReport:
     """Smallest set of the requested kind via size-increasing enumeration.
 
+    Each level is one `_pykernel.first_subset` scan, so the 2-domination
+    test runs only on dominating subsets (every 2-dominating set dominates).
     Among minimum sets the lexicographically least is reported.  Refuses
     instances over the enumeration budget rather than degrading silently.
     """
@@ -131,30 +141,14 @@ def exact_minimum(
         raise ValueError("exact_minimum needs at least one vertex")
     if G.n > budget:
         raise BudgetExceededError(G.n, budget)
-    closed = G.closed_masks()
-    open_masks = [closed[v] ^ (1 << v) for v in range(G.n)]
-    full = (1 << G.n) - 1
+    masks = G.closed_masks()
+    accept = None if kind == DOMINATING else _two_dominates
     examined = 0
     for k in range(0, G.n + 1):
-        for combo in combinations(range(G.n), k):
-            examined += 1
-            dmask = 0
-            covered = 0
-            for v in combo:
-                dmask |= 1 << v
-                covered |= closed[v]
-            if kind == DOMINATING:
-                ok = covered == full
-            else:
-                ok = all(
-                    (dmask >> v) & 1 or bin(open_masks[v] & dmask).count("1") >= 2
-                    for v in range(G.n)
-                )
-            if ok:
-                return SolveReport(
-                    problem=kind,
-                    value=k,
-                    witness=combo,
-                    subsets_examined=examined,
-                )
+        witness, count = _pykernel.first_subset(masks, k, accept)
+        examined += count
+        if witness is not None:
+            return SolveReport(
+                problem=kind, value=k, witness=witness, subsets_examined=examined
+            )
     raise AssertionError("V itself always qualifies")  # pragma: no cover

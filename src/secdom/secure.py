@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import kernel
+from . import _pykernel, kernel
 from .domination import (
     DEFAULT_DOMINATION_BUDGET,
     BudgetExceededError,
@@ -86,21 +86,16 @@ def find_defenders(
     smask = 0
     for v in S:
         smask |= 1 << v
-    attack = (1 << u1) | (1 << u2)
+    # closed_neighborhood checks u1 and u2 before they are used as shifts
     cand1 = [v for v in G.closed_neighborhood(u1) if v in sset]
     cand2 = [v for v in G.closed_neighborhood(u2) if v in sset]
+    attack = (1 << u1) | (1 << u2)
     for v1 in cand1:
         for v2 in cand2:
             if v1 == v2:
                 continue
             swapped = (smask & ~((1 << v1) | (1 << v2))) | attack
-            covered = 0
-            m = swapped
-            while m:
-                low = m & -m
-                covered |= masks[low.bit_length() - 1]
-                m ^= low
-            if covered == full:
+            if _pykernel.dominates(masks, swapped, full):
                 return (v1, v2)
     return None
 
@@ -116,20 +111,16 @@ def _scan_2sds(G: Graph, S, build_certificate: bool):
     S = check_vertex_set(G, S)
     if len(S) < 2:
         return None, ("too-small", len(S))
-    if not is_dominating(G, S):
-        covered = set()
-        for v in S:
-            covered.update(G.closed_neighborhood(v))
-        bad = min(set(range(G.n)) - covered)
-        return None, ("undominated", bad)
+    masks = G.closed_masks()
+    smask = sum(1 << v for v in S)
+    undominated = [v for v in range(G.n) if not masks[v] & smask]
+    if undominated:
+        return None, ("undominated", undominated[0])
     entries: dict[tuple[int, int], tuple[int, int]] = {}
-    for u1 in range(G.n):
-        for u2 in range(u1 + 1, G.n):
-            defenders = find_defenders(G, S, u1, u2)
-            if defenders is None:
-                return None, ("pair", (u1, u2))
-            if build_certificate:
-                entries[(u1, u2)] = defenders
+    table = entries if build_certificate else None
+    pair = _pykernel.first_undefended(masks, smask, table)
+    if pair is not None:
+        return None, ("pair", pair)
     return DefenseCertificate(entries=entries), None
 
 
@@ -153,10 +144,11 @@ def first_failure(G: Graph, S):
 def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
     """Minimum 2-SDS by size-increasing enumeration.
 
-    Starts at the lower bound max(2, gamma(G)); candidates are pruned to
-    dominating sets before the pair check.  Always terminates: V itself is a
-    2-SDS of a connected graph.  The witness is the lexicographically least
-    minimum set and ships with its defense certificate.
+    Starts at size 2; candidates are pruned to dominating sets before the
+    pair check, so the levels below gamma(G) find none.  Always terminates:
+    V itself is a 2-SDS of a connected graph.  The witness is the
+    lexicographically least minimum set and ships with its defense
+    certificate.
     """
     if G.n < 2:
         raise ValueError("exact_gamma_2s needs at least 2 vertices")
@@ -164,10 +156,9 @@ def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
         raise DisconnectedGraphError("exact_gamma_2s requires a connected graph")
     if G.n > budget:
         raise BudgetExceededError(G.n, budget)
-    gamma = exact_minimum(G, DOMINATING, budget=max(budget, G.n)).value
     masks = list(G.closed_masks())
     examined = 0
-    for k in range(max(2, gamma), G.n + 1):
+    for k in range(2, G.n + 1):
         witness, count = kernel.solve_level(masks, k)
         examined += count
         if witness is not None:

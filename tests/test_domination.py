@@ -101,19 +101,24 @@ class TestExactMinimum:
         with pytest.raises(BudgetExceededError):
             exact_minimum(path(30), DOMINATING)
 
-    def test_witness_is_lex_least_minimum(self):
+    @pytest.mark.parametrize(
+        "kind, check",
+        [(DOMINATING, is_dominating), (TWO_DOMINATING, is_2dominating)],
+        ids=["dom", "2dom"],
+    )
+    def test_witness_is_lex_least_minimum(self, kind, check):
         rng = random.Random(7)
         for _ in range(10):
             G = random_connected(rng.randint(2, 8), 0.4, rng)
-            report = exact_minimum(G, DOMINATING)
+            report = exact_minimum(G, kind)
             mins = [
                 S
                 for S in combinations(range(G.n), report.value)
-                if is_dominating(G, S)
+                if check(G, S)
             ]
             assert report.witness == min(mins)
             assert not any(
-                is_dominating(G, S)
+                check(G, S)
                 for k in range(report.value)
                 for S in combinations(range(G.n), k)
             )

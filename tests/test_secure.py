@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from secdom import (
     BudgetExceededError,
     DisconnectedGraphError,
+    GraphError,
     approx_2sds,
     build_graph,
     dom_set_approx,
@@ -15,6 +17,7 @@ from secdom import (
     verify_2sds,
 )
 from secdom import _pykernel, kernel
+from secdom.enumgraphs import connected_graphs
 from util import K3, complete, cycle, oracle_is_2sds, path, random_connected, star
 
 
@@ -41,6 +44,13 @@ class TestFindDefenders:
     def test_equal_attackers_rejected(self):
         with pytest.raises(ValueError):
             find_defenders(K3, [0, 1], 2, 2)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_attack_vertex_outside_graph_rejected(self, bad):
+        with pytest.raises(GraphError):
+            find_defenders(K3, [0, 1], bad, 1)
+        with pytest.raises(GraphError):
+            find_defenders(K3, [0, 1], 1, bad)
 
 
 class TestVerify:
@@ -79,6 +89,26 @@ class TestVerify:
             size = rng.randint(2, G.n)
             S = tuple(sorted(rng.sample(range(G.n), size)))
             assert (verify_2sds(G, S) is not None) == oracle_is_2sds(G, S)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_exhaustive_small_classes(self, n):
+        # every class n <= 5, every |S| >= 2: the whole-set defence scan
+        # against the literal oracle and the per-pair find_defenders
+        for G in connected_graphs(n, up_to_iso=True):
+            accepted = []
+            for k in range(2, n + 1):
+                for S in combinations(range(n), k):
+                    ok = oracle_is_2sds(G, S)
+                    assert (first_failure(G, S) is None) == ok, (G.edges, S)
+                    if not ok:
+                        continue
+                    accepted.append(S)
+                    cert = verify_2sds(G, S)
+                    for (u1, u2), defenders in cert.entries.items():
+                        assert defenders == find_defenders(G, S, u1, u2)
+                    assert cert.replay(G, S)
+            least = min(accepted, key=lambda S: (len(S), S))
+            assert exact_gamma_2s(G).witness == least, G.edges
 
 
 class TestExactGamma2s:
