@@ -1,6 +1,14 @@
 """Pure-Python search engine over bitmask adjacency: one level scan
-(`first_subset`) for dom, 2dom and 2-SDS, and one defence scan
-(`first_undefended`) for the 2-SDS test and the verifier's certificates.
+(`first_subset`) for dom, 2dom and 2-SDS, one per-pair defence search
+(`defenders`), and one defence scan (`first_undefended`) for the 2-SDS test
+and the verifier's certificates.
+
+The level scan is a depth-first search over k-subsets in lex order.  It
+covers incrementally, one OR per node, and abandons a prefix together with
+every later sibling as soon as a vertex it leaves uncovered has its whole
+closed neighbourhood at or below the last pick: no later pick can cover it.
+Its count is a lex position, not a count of visited nodes, so it equals what
+a flat scan of every k-combination would report.
 
 `solve_level` mirrors `_kernel.pyx`; it is the fallback selected at import
 time when the extension is unavailable, and the benchmark's reference.
@@ -9,7 +17,7 @@ Masks are plain ints, so there is no vertex-count limit.
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
 from typing import Callable, Optional, Sequence
 
 
@@ -24,6 +32,19 @@ def dominates(masks: Sequence[int], smask: int, full: int) -> bool:
     return covered & full == full
 
 
+def _lex_position(n: int, combo: Sequence[int]) -> int:
+    """1-based position of `combo` among the k-combinations of range(n) in
+    lex order: at each index i, the combinations that agree before i and
+    pick a smaller vertex at i come first."""
+    k = len(combo)
+    position = 1
+    prev = -1
+    for i, c in enumerate(combo):
+        position += comb(n - 1 - prev, k - i) - comb(n - c, k - i)
+        prev = c
+    return position
+
+
 def first_subset(
     masks: Sequence[int],
     k: int,
@@ -31,19 +52,74 @@ def first_subset(
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """First k-subset in lex order that dominates and passes `accept(masks,
     smask)` (if given), or None, with the k-combinations examined up to it.
-    k = 0 examines the empty set once."""
-    full = (1 << len(masks)) - 1
-    examined = 0
-    for combo in combinations(range(len(masks)), k):
-        examined += 1
-        smask = 0
-        covered = 0
-        for v in combo:
-            smask |= 1 << v
-            covered |= masks[v]
-        if covered & full == full and (accept is None or accept(masks, smask)):
-            return combo, examined
-    return None, examined
+
+    A depth-first search in lex order: `need[j]` holds the vertices the first
+    j picks leave uncovered, and `dead[p]` the vertices whose closed
+    neighbourhood lies within 0..p.  A pick p that leaves a vertex of
+    `dead[p]` uncovered ends its prefix and every later sibling, whose picks
+    lie above p too.  The count is the witness's lex position, or C(n, k)
+    when there is none: what scanning every k-combination in lex order up to
+    the witness would count.  k = 0 examines the empty set once.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    if k <= 0 or k > n:
+        if k == 0 and full == 0 and (accept is None or accept(masks, 0)):
+            return (), 1
+        return None, comb(n, k)
+    dead = [0] * n
+    for v, m in enumerate(masks):
+        dead[m.bit_length() - 1] |= 1 << v
+    for p in range(1, n):
+        dead[p] |= dead[p - 1]
+    last = k - 1
+    picks = [0] * k
+    need = [full] * k
+    j = p = 0
+    while j >= 0:
+        rest = need[j]
+        if j == last:
+            for q in range(p, n):
+                unc = rest & ~masks[q]
+                if not unc:
+                    picks[j] = q
+                    if accept is None or accept(masks, sum(1 << v for v in picks)):
+                        return tuple(picks), _lex_position(n, picks)
+                elif unc & dead[q]:
+                    break
+        elif p < n - last + j:
+            unc = rest & ~masks[p]
+            if not unc & dead[p]:
+                picks[j] = p
+                need[j + 1] = unc
+                j += 1
+                p += 1
+                continue
+        # depth j holds no live pick from p on: advance the parent's pick
+        j -= 1
+        p = picks[j] + 1
+    return None, comb(n, k)
+
+
+def defenders(
+    masks: Sequence[int], smask: int, u1: int, u2: int, full: int
+) -> Optional[tuple[int, int]]:
+    """Lex-least ordered defender pair of S = `smask` against the attack
+    (u1, u2), or None: distinct v1 in N[u1], v2 in N[u2], both in S, whose
+    swap (S - {v1,v2}) + {u1,u2} still dominates."""
+    cand1 = masks[u1] & smask
+    cand2 = masks[u2] & smask
+    attack = (1 << u1) | (1 << u2)
+    while cand1:
+        b1 = cand1 & -cand1
+        cand1 ^= b1
+        c2 = cand2 & ~b1
+        while c2:
+            b2 = c2 & -c2
+            c2 ^= b2
+            if dominates(masks, (smask & ~(b1 | b2)) | attack, full):
+                return b1.bit_length() - 1, b2.bit_length() - 1
+    return None
 
 
 def first_undefended(
@@ -52,33 +128,17 @@ def first_undefended(
     table: Optional[dict[tuple[int, int], tuple[int, int]]] = None,
 ) -> Optional[tuple[int, int]]:
     """First attack pair (u1 < u2, lex order) that S = `smask` cannot
-    defend, or None.  Defenders are distinct v1 in N[u1], v2 in N[u2], both
-    in S, whose swap (S - {v1,v2}) + {u1,u2} still dominates.  A dict
-    `table` receives each defended pair's lex-least ordered defender pair."""
+    defend, or None.  A dict `table` receives each defended pair's
+    lex-least ordered defender pair."""
     n = len(masks)
     full = (1 << n) - 1
     for u1 in range(n):
-        cand1 = masks[u1] & smask
         for u2 in range(u1 + 1, n):
-            cand2 = masks[u2] & smask
-            attack = (1 << u1) | (1 << u2)
-            ok = False
-            c1 = cand1
-            while c1 and not ok:
-                b1 = c1 & -c1
-                c1 ^= b1
-                c2 = cand2 & ~b1
-                while c2:
-                    b2 = c2 & -c2
-                    c2 ^= b2
-                    swapped = (smask & ~(b1 | b2)) | attack
-                    if dominates(masks, swapped, full):
-                        ok = True
-                        break
-            if not ok:
+            pair = defenders(masks, smask, u1, u2, full)
+            if pair is None:
                 return u1, u2
             if table is not None:
-                table[(u1, u2)] = (b1.bit_length() - 1, b2.bit_length() - 1)
+                table[(u1, u2)] = pair
     return None
 
 
@@ -87,8 +147,22 @@ def solve_level(
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """First k-subset (lex order) that is a 2-SDS, plus subsets examined.
 
-    A level k <= 0 examines nothing, as in the compiled kernel.
+    The 2-SDS test first retries the last attack pair that defeated a
+    dominating subset of this level, then scans every pair.  A level
+    k <= 0 examines nothing, as in the compiled kernel.
     """
     if k <= 0:
         return None, 0
-    return first_subset(masks, k, lambda m, s: first_undefended(m, s) is None)
+    full = (1 << len(masks)) - 1
+    failed: Optional[tuple[int, int]] = None
+
+    def is_2sds(masks: Sequence[int], smask: int) -> bool:
+        nonlocal failed
+        if failed is not None and defenders(masks, smask, *failed, full) is None:
+            return False
+        pair = first_undefended(masks, smask)
+        if pair is not None:
+            failed = pair
+        return pair is None
+
+    return first_subset(masks, k, is_2sds)

@@ -48,23 +48,36 @@ class DefenseCertificate:
     entries: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 
     def replay(self, G: Graph, S: tuple[int, ...]) -> bool:
-        """Re-check every stored swap from scratch; certificates are
-        self-validating."""
+        """Re-check every stored swap from scratch with its own mask loop,
+        independent of the search kernel; certificates are self-validating.
+        A vertex of S outside G raises GraphError once an entry's defenders
+        pass the membership checks."""
         sset = set(S)
         pairs = {
             (u1, u2) for u1 in range(G.n) for u2 in range(u1 + 1, G.n)
         }
         if set(self.entries) != pairs:
             return False
+        n = G.n
+        masks = G.closed_masks()
+        full = (1 << n) - 1
+        smask = None
         for (u1, u2), (v1, v2) in self.entries.items():
             if v1 == v2 or v1 not in sset or v2 not in sset:
                 return False
-            if v1 not in G.closed_neighborhood(u1):
+            if not (0 <= v1 < n and (masks[u1] >> v1) & 1):
                 return False
-            if v2 not in G.closed_neighborhood(u2):
+            if not (0 <= v2 < n and (masks[u2] >> v2) & 1):
                 return False
-            swapped = (sset - {v1, v2}) | {u1, u2}
-            if not is_dominating(G, swapped):
+            if smask is None:
+                smask = sum(1 << v for v in check_vertex_set(G, sset))
+            m = (smask & ~((1 << v1) | (1 << v2))) | (1 << u1) | (1 << u2)
+            covered = 0
+            while m:
+                low = m & -m
+                covered |= masks[low.bit_length() - 1]
+                m ^= low
+            if covered != full:
                 return False
         return True
 
@@ -80,24 +93,13 @@ def find_defenders(
     if u1 == u2:
         raise ValueError("attack vertices must be distinct")
     S = check_vertex_set(G, S)
-    sset = set(S)
-    masks = G.closed_masks()
-    full = (1 << G.n) - 1
+    # closed_neighborhood checks u1 and u2 before they are used as shifts
+    G.closed_neighborhood(u1)
+    G.closed_neighborhood(u2)
     smask = 0
     for v in S:
         smask |= 1 << v
-    # closed_neighborhood checks u1 and u2 before they are used as shifts
-    cand1 = [v for v in G.closed_neighborhood(u1) if v in sset]
-    cand2 = [v for v in G.closed_neighborhood(u2) if v in sset]
-    attack = (1 << u1) | (1 << u2)
-    for v1 in cand1:
-        for v2 in cand2:
-            if v1 == v2:
-                continue
-            swapped = (smask & ~((1 << v1) | (1 << v2))) | attack
-            if _pykernel.dominates(masks, swapped, full):
-                return (v1, v2)
-    return None
+    return _pykernel.defenders(G.closed_masks(), smask, u1, u2, (1 << G.n) - 1)
 
 
 def _scan_2sds(G: Graph, S, build_certificate: bool):

@@ -148,6 +148,26 @@ class TestSolve:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "family,size,problem,examined",
+        [
+            ("comb", "8", "2sds", 58648),
+            ("cycle", "16", "2sds", 30398),
+            ("comb", "10", "dom", 431911),
+            ("cycle", "22", "dom", 304584),
+        ],
+    )
+    def test_subsets_examined_counts_flat_scan(
+        self, capsys, tmp_path, family, size, problem, examined
+    ):
+        # the count is the lex position of each level's witness, whatever the
+        # search prunes on the way
+        f = str(tmp_path / "g.txt")
+        assert run(capsys, "gen", family, size, "-o", f)[0] == 0
+        code, out, _ = run(capsys, "solve", f, "--problem", problem)
+        assert code == 0
+        assert f"subsets_examined={examined}" in out.splitlines()
+
     @pytest.mark.parametrize("problem", ["2sds", "dom", "2dom"])
     def test_zero_budget_is_not_the_default(self, capsys, p3_file, problem):
         code, out, err = run(

@@ -17,8 +17,20 @@ from secdom import (
     verify_2sds,
 )
 from secdom import _pykernel, kernel
+from secdom.domination import _two_dominates
 from secdom.enumgraphs import connected_graphs
-from util import K3, complete, cycle, oracle_is_2sds, path, random_connected, star
+from secdom.secure import DefenseCertificate
+from util import (
+    K3,
+    complete,
+    cycle,
+    oracle_is_2sds,
+    path,
+    random_connected,
+    reference_first_subset,
+    seeded_connected_instances,
+    star,
+)
 
 
 class TestFindDefenders:
@@ -80,6 +92,30 @@ class TestVerify:
         cert = verify_2sds(G, S)
         assert cert is not None
         assert cert.replay(G, S)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        ["missing-pair", "equal-defenders", "defender-outside-S",
+         "v1-outside-N[u1]", "swap-undominated"],
+    )
+    def test_replay_rejects_tampered_certificate(self, tamper):
+        # P5 = 0-1-2-3-4 with S = {0,1,3,4}; swapping out {1,3} against the
+        # attack (0,4) leaves 2 undominated
+        G, S = path(5), (0, 1, 3, 4)
+        cert = verify_2sds(G, S)
+        assert cert.replay(G, S)
+        entries = dict(cert.entries)
+        if tamper == "missing-pair":
+            del entries[(0, 1)]
+        elif tamper == "equal-defenders":
+            entries[(0, 1)] = (1, 1)
+        elif tamper == "defender-outside-S":
+            entries[(0, 1)] = (0, 2)
+        elif tamper == "v1-outside-N[u1]":
+            entries[(0, 1)] = (3, 1)
+        else:
+            entries[(0, 4)] = (1, 3)
+        assert not DefenseCertificate(entries=entries).replay(G, S)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_literal_oracle(self, seed):
@@ -210,3 +246,34 @@ class TestKernelBackends:
         # the compiled kernel's contract for k <= 0 and k > n
         masks = list(path(3).closed_masks())
         assert _pykernel.solve_level(masks, k) == (None, 0)
+
+
+class TestLevelScan:
+    """The depth-first level scan against the flat scan in tests/util.py:
+    the same witness and the same count of k-combinations examined."""
+
+    PREDICATES = {
+        "dom": None,
+        "2dom": _two_dominates,
+        "2sds": lambda masks, smask: _pykernel.first_undefended(masks, smask) is None,
+    }
+
+    @pytest.mark.parametrize("predicate", sorted(PREDICATES))
+    @pytest.mark.parametrize(
+        "graphs", [f"classes-n{n}" for n in range(1, 7)] + ["random"]
+    )
+    def test_matches_flat_scan(self, graphs, predicate):
+        if graphs == "random":
+            family = seeded_connected_instances(12, 12, 1500, min_n=7)
+        else:
+            n = int(graphs[len("classes-n"):])
+            family = connected_graphs(n, up_to_iso=True)
+        accept = self.PREDICATES[predicate]
+        for G in family:
+            masks = list(G.closed_masks())
+            for k in range(0, G.n + 2):
+                expected = reference_first_subset(masks, k, accept)
+                got = _pykernel.first_subset(masks, k, accept)
+                assert got == expected, (G.edges, k)
+                if predicate == "2sds" and k >= 1:
+                    assert _pykernel.solve_level(masks, k) == expected, (G.edges, k)

@@ -1,11 +1,12 @@
-"""Shared test helpers: named small graphs, seeded random instances, and the
-definition-literal 2-SDS oracle.
+"""Shared test helpers: named small graphs, seeded random instances, the
+definition-literal 2-SDS oracle and a flat reference level scan.
 
 The oracle is deliberately independent of the package internals: plain sets,
 an unpruned ordered-pair scan, and its own domination check.
 """
 
 import random
+from itertools import combinations
 
 from secdom import build_graph
 
@@ -78,3 +79,20 @@ def oracle_is_2sds(G, S):
             if not defended:
                 return False
     return True
+
+
+def reference_first_subset(masks, k, accept=None):
+    """Flat level scan: every k-combination in lex order, the first that
+    dominates and passes `accept(masks, smask)`, with the combinations
+    examined up to and including it."""
+    full = (1 << len(masks)) - 1
+    examined = 0
+    for combo in combinations(range(len(masks)), k):
+        examined += 1
+        smask = covered = 0
+        for v in combo:
+            smask |= 1 << v
+            covered |= masks[v]
+        if covered == full and (accept is None or accept(masks, smask)):
+            return combo, examined
+    return None, examined
