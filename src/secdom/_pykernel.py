@@ -10,6 +10,17 @@ closed neighbourhood at or below the last pick: no later pick can cover it.
 Its count is a lex position, not a count of visited nodes, so it equals what
 a flat scan of every k-combination would report.
 
+The defence search tests a swap without rebuilding the swapped set.
+`layers` sorts the vertices by how many members of S their closed
+neighbourhood holds: none (`zero`), exactly one (`ex1`) or exactly two
+(`ex2`).  The swap of (v1, v2) for the attack (u1, u2) dominates iff
+
+    (zero | N[v1]&ex1 | N[v2]&ex1 | N[v1]&N[v2]&ex2) & ~(N[u1] | N[u2]) == 0
+
+because a vertex w is left undominated iff it lies outside N[u1] | N[u2]
+and N[w] & S is a subset of {v1, v2}: empty, one of them, or both.  The
+layers are computed once per set and shared by every attack pair.
+
 `solve_level` mirrors `_kernel.pyx`; it is the fallback selected at import
 time when the extension is unavailable, and the benchmark's reference.
 Masks are plain ints, so there is no vertex-count limit.
@@ -19,17 +30,6 @@ from __future__ import annotations
 
 from math import comb
 from typing import Callable, Optional, Sequence
-
-
-def dominates(masks: Sequence[int], smask: int, full: int) -> bool:
-    """True iff the union of closed neighborhoods over `smask` covers `full`."""
-    covered = 0
-    m = smask
-    while m:
-        low = m & -m
-        covered |= masks[low.bit_length() - 1]
-        m ^= low
-    return covered & full == full
 
 
 def _lex_position(n: int, combo: Sequence[int]) -> int:
@@ -101,23 +101,61 @@ def first_subset(
     return None, comb(n, k)
 
 
+def layers(masks: Sequence[int], smask: int, full: int) -> tuple[int, int, int]:
+    """(zero, ex1, ex2): the vertices with no, exactly one and exactly two
+    members of S = `smask` in their closed neighbourhood."""
+    one = two = three = 0
+    m = smask
+    while m:
+        low = m & -m
+        nb = masks[low.bit_length() - 1]
+        three |= two & nb
+        two |= one & nb
+        one |= nb
+        m ^= low
+    return full & ~one, one & ~two, two & ~three
+
+
 def defenders(
-    masks: Sequence[int], smask: int, u1: int, u2: int, full: int
+    masks: Sequence[int],
+    smask: int,
+    u1: int,
+    u2: int,
+    full: int,
+    layered: Optional[tuple[int, int, int]] = None,
 ) -> Optional[tuple[int, int]]:
     """Lex-least ordered defender pair of S = `smask` against the attack
     (u1, u2), or None: distinct v1 in N[u1], v2 in N[u2], both in S, whose
-    swap (S - {v1,v2}) + {u1,u2} still dominates."""
+    swap (S - {v1,v2}) + {u1,u2} still dominates.  `layered` is
+    `layers(masks, smask, full)`, computed here when not given.
+
+    The swap test: with out = V - (N[u1] | N[u2]), the swap dominates iff
+    (zero | N[v1]&ex1 | N[v2]&ex1 | N[v1]&N[v2]&ex2) & out == 0.  Proof: the
+    swapped set dominates w iff w is in N[u1] | N[u2] or N[w] & S is not a
+    subset of {v1, v2}.  With v1, v2 in S, that subset is empty (w in zero),
+    {v1} or {v2} (w in ex1 and N[v1] or N[v2]), or {v1, v2} (w in ex2 and
+    both), since w is in N[v] iff v is in N[w].  So a pair whose `zero &
+    out` is nonzero has no defender, nor does a v1 with a private neighbour
+    (N[v1] & ex1) in out.
+    """
+    zero, ex1, ex2 = layered or layers(masks, smask, full)
+    out = full & ~(masks[u1] | masks[u2])
+    if zero & out:
+        return None
     cand1 = masks[u1] & smask
     cand2 = masks[u2] & smask
-    attack = (1 << u1) | (1 << u2)
     while cand1:
         b1 = cand1 & -cand1
         cand1 ^= b1
+        n1 = masks[b1.bit_length() - 1]
+        if n1 & ex1 & out:
+            continue  # a private neighbour of v1 in out: no v2 helps
+        bad = (ex1 | (n1 & ex2)) & out  # what N[v2] must miss
         c2 = cand2 & ~b1
         while c2:
             b2 = c2 & -c2
             c2 ^= b2
-            if dominates(masks, (smask & ~(b1 | b2)) | attack, full):
+            if not masks[b2.bit_length() - 1] & bad:
                 return b1.bit_length() - 1, b2.bit_length() - 1
     return None
 
@@ -126,15 +164,24 @@ def first_undefended(
     masks: Sequence[int],
     smask: int,
     table: Optional[dict[tuple[int, int], tuple[int, int]]] = None,
+    layered: Optional[tuple[int, int, int]] = None,
 ) -> Optional[tuple[int, int]]:
     """First attack pair (u1 < u2, lex order) that S = `smask` cannot
     defend, or None.  A dict `table` receives each defended pair's
-    lex-least ordered defender pair."""
+    lex-least ordered defender pair.
+
+    The layers of S are computed once per scan (or taken from `layered`),
+    and every pair shares them: a swap of (v1, v2) for (u1, u2) dominates iff
+    (zero | N[v1]&ex1 | N[v2]&ex1 | N[v1]&N[v2]&ex2) & ~(N[u1] | N[u2]) == 0,
+    since a vertex is left undominated iff it lies outside N[u1] | N[u2]
+    and its members of S are among v1 and v2 (proof in `defenders`)."""
     n = len(masks)
     full = (1 << n) - 1
+    if layered is None:
+        layered = layers(masks, smask, full)
     for u1 in range(n):
         for u2 in range(u1 + 1, n):
-            pair = defenders(masks, smask, u1, u2, full)
+            pair = defenders(masks, smask, u1, u2, full, layered)
             if pair is None:
                 return u1, u2
             if table is not None:
@@ -158,9 +205,13 @@ def solve_level(
 
     def is_2sds(masks: Sequence[int], smask: int) -> bool:
         nonlocal failed
-        if failed is not None and defenders(masks, smask, *failed, full) is None:
+        layered = layers(masks, smask, full)
+        if (
+            failed is not None
+            and defenders(masks, smask, *failed, full, layered) is None
+        ):
             return False
-        pair = first_undefended(masks, smask)
+        pair = first_undefended(masks, smask, None, layered)
         if pair is not None:
             failed = pair
         return pair is None

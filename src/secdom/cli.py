@@ -27,11 +27,11 @@ from .secure import (
     DEFAULT_2SDS_BUDGET,
     DisconnectedGraphError,
     PatchInsufficientError,
+    _scan_2sds,
     approx_2sds,
     dom_set_approx,
     exact_gamma_2s,
     first_failure,
-    verify_2sds,
 )
 
 EXIT_OK = 0
@@ -45,8 +45,11 @@ def _fmt_set(S) -> str:
 
 
 def _print_certificate(cert) -> None:
-    for (u1, u2), (v1, v2) in sorted(cert.entries.items()):
-        print(f"defend.{u1},{u2}={v1},{v2}")
+    # one write; a certificate covers all C(n, 2) >= 1 attack pairs
+    print("\n".join(
+        f"defend.{u1},{u2}={v1},{v2}"
+        for (u1, u2), (v1, v2) in sorted(cert.entries.items())
+    ))
 
 
 def _cmd_gen(args) -> int:
@@ -61,14 +64,14 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     G = parse_graph(args.graph)
     S = [int(v) for v in args.vertices]
-    cert = verify_2sds(G, S)
-    if cert is not None:
+    cert, failure = _scan_2sds(G, S, build_certificate=args.certificate)
+    if failure is None:
         print("verified=yes")
         if args.certificate:
             _print_certificate(cert)
         return EXIT_OK
     print("verified=no")
-    kind, detail = first_failure(G, S)
+    kind, detail = failure
     if kind == "too-small":
         print(f"reason=set-too-small size={detail}")
     elif kind == "undominated":
@@ -113,7 +116,7 @@ def _cmd_approx(args) -> int:
     print(f"set={_fmt_set(result)}")
     print(f"size={len(result)}")
     if args.algorithm == "approx-2sds":
-        ok = verify_2sds(G, result) is not None
+        ok = first_failure(G, result) is None
         print(f"verified={'yes' if ok else 'no'}")
         if not ok:  # the pipeline guarantees this never happens
             return EXIT_NEGATIVE
@@ -214,9 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser unchanged, so one serves every call.  It is built
+# on the first call rather than at import, which stays cheap.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -1,10 +1,14 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from secdom import build_graph, graph_to_text, parse_graph
+import secdom
+from secdom import _pykernel, build_graph, cli, graph_to_text, parse_graph
 from secdom.cli import main
 from secdom.graphio import GraphParseError
 
@@ -27,6 +31,23 @@ def star_file(tmp_path):
     path = tmp_path / "star.txt"
     path.write_text("4 3\n0 1\n0 2\n0 3\n")
     return str(path)
+
+
+@pytest.fixture
+def p5_file(tmp_path):
+    path = tmp_path / "p5.txt"
+    path.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
+    return str(path)
+
+
+def run_or_exit(capsys, argv):
+    """(exit code, stdout, stderr) of one `main` call, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestGraphFile:
@@ -113,6 +134,72 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", p3_file, "0", "2", "--certificate")
         assert code == 0
         assert "defend.0,1=" in out
+
+
+class TestParserReuse:
+    CALLS = [
+        ["verify", "{g}", "0", "1", "3", "4", "--certificate"],
+        ["verify", "{g}", "1", "3"],
+        ["solve", "{g}", "--problem", "2sds"],
+        ["solve", "{g}", "--problem", "nope"],
+        ["verify", "{g}", "0", "1", "3", "4"],
+    ]
+
+    def test_same_output_as_a_fresh_parser(self, capsys, monkeypatch, p5_file):
+        argvs = [[a.format(g=p5_file) for a in argv] for argv in self.CALLS]
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run_or_exit(capsys, argv))
+        assert [code for code, _, _ in fresh] == [0, 1, 0, 2, 0]
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        assert [run_or_exit(capsys, argv) for argv in argvs] == fresh
+        assert len(builds) == 1
+
+    def test_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(secdom.__file__))
+        code = "import secdom.cli as c; assert c._parser is None"
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+class TestOneDefenceScan:
+    """Each command that checks a set runs one defence scan, and builds the
+    defender table only when the certificate is printed."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        tables = []
+        scan = _pykernel.first_undefended
+
+        def counting(masks, smask, table=None, *rest):
+            tables.append(table)
+            return scan(masks, smask, table, *rest)
+
+        monkeypatch.setattr(_pykernel, "first_undefended", counting)
+        return tables
+
+    @pytest.mark.parametrize("certificate", [False, True])
+    @pytest.mark.parametrize(
+        "vertices,expected", [(["1", "3"], 1), (["0", "1", "3", "4"], 0)]
+    )
+    def test_verify(self, capsys, p5_file, scans, vertices, expected, certificate):
+        flags = ["--certificate"] * certificate
+        code, out, _ = run(capsys, "verify", p5_file, *vertices, *flags)
+        assert code == expected
+        if expected:
+            assert "reason=no-defenders failing_pair=0,1" in out.splitlines()
+        assert len(scans) == 1
+        assert (scans[0] is not None) == certificate
+
+    def test_approx(self, capsys, p5_file, scans):
+        code, out, _ = run(capsys, "approx", p5_file, "--algorithm", "approx-2sds")
+        assert code == 0
+        assert "verified=yes" in out.splitlines()
+        assert scans == [None]
 
 
 class TestSolve:

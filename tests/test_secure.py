@@ -24,6 +24,7 @@ from util import (
     K3,
     complete,
     cycle,
+    oracle_defenders,
     oracle_is_2sds,
     path,
     random_connected,
@@ -63,6 +64,43 @@ class TestFindDefenders:
             find_defenders(K3, [0, 1], bad, 1)
         with pytest.raises(GraphError):
             find_defenders(K3, [0, 1], 1, bad)
+
+
+class TestDefenceTest:
+    """`_pykernel.defenders`, whose swap test reads the layers of S, against
+    the literal swap check of `tests/util.py`: every set, dominating or not,
+    and every ordered attack pair."""
+
+    @staticmethod
+    def _assert_agree(G, subsets):
+        masks = G.closed_masks()
+        full = (1 << G.n) - 1
+        for S in subsets:
+            smask = sum(1 << v for v in S)
+            for u1 in range(G.n):
+                for u2 in range(G.n):
+                    if u1 != u2:
+                        got = _pykernel.defenders(masks, smask, u1, u2, full)
+                        want = oracle_defenders(G, S, u1, u2)
+                        assert got == want, (G.edges, S, u1, u2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_class_every_set(self, n):
+        for G in connected_graphs(n, up_to_iso=True):
+            subsets = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+            self._assert_agree(G, subsets)
+
+    @pytest.mark.parametrize("n", [7, 9, 12, 16, 20, 24])
+    def test_random_graphs(self, n):
+        rng = random.Random(n)
+        G = random_connected(n, min(1.0, rng.uniform(2.5, 6.0) / (n - 1)), rng)
+        sizes = [0, 1, 2, rng.randint(2, n), rng.randint(n // 2, n), n]
+        subsets = [sorted(rng.sample(range(n), k)) for k in sizes]
+        greedy = list(approx_2sds(G))
+        subsets += [greedy] + [
+            sorted(rng.sample(greedy, len(greedy) - k)) for k in (1, 1, 2, 3)
+        ]
+        self._assert_agree(G, subsets)
 
 
 class TestVerify:

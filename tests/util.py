@@ -58,27 +58,31 @@ def oracle_dominating(G, S):
     return all(v in S or any(w in S for w in G.adj[v]) for v in range(G.n))
 
 
+def oracle_defenders(G, S, u1, u2):
+    """Literal swap check for one ordered attack: the lex-least ordered pair
+    (v1, v2) of distinct members of S, v1 in N[u1] and v2 in N[u2], whose
+    swap (S - {v1,v2}) + {u1,u2} dominates, or None."""
+    S = set(S)
+    closed1 = set(G.adj[u1]) | {u1}
+    closed2 = set(G.adj[u2]) | {u2}
+    for v1 in sorted(closed1 & S):
+        for v2 in sorted(closed2 & S):
+            if v1 != v2 and oracle_dominating(G, (S - {v1, v2}) | {u1, u2}):
+                return v1, v2
+    return None
+
+
 def oracle_is_2sds(G, S):
     """Literal reading of the definition, ordered-pair scan, no pruning."""
     S = set(S)
     if not oracle_dominating(G, S):
         return False
-    for u1 in range(G.n):
-        for u2 in range(G.n):
-            if u1 == u2:
-                continue
-            closed1 = set(G.adj[u1]) | {u1}
-            closed2 = set(G.adj[u2]) | {u2}
-            defended = False
-            for v1 in sorted(closed1 & S):
-                for v2 in sorted(closed2 & S):
-                    if v1 == v2:
-                        continue
-                    if oracle_dominating(G, (S - {v1, v2}) | {u1, u2}):
-                        defended = True
-            if not defended:
-                return False
-    return True
+    return all(
+        oracle_defenders(G, S, u1, u2) is not None
+        for u1 in range(G.n)
+        for u2 in range(G.n)
+        if u1 != u2
+    )
 
 
 def reference_first_subset(masks, k, accept=None):
