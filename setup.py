@@ -25,17 +25,7 @@ class OptionalBuildExt(build_ext):
             )
 
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("secdom._kernel", ["src/secdom/_kernel.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = []
-
 setup(
-    ext_modules=ext_modules,
+    ext_modules=[Extension("secdom._kernel", ["src/secdom/_kernel.c"])],
     cmdclass={"build_ext": OptionalBuildExt},
 )

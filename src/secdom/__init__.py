@@ -1,8 +1,8 @@
 """secdom: computing, verifying, and approximating 2-secure dominating sets.
 
-The heavy subset-enumeration kernel is compiled (Cython) when the extension
-is available, with a pure-Python fallback selected at import; see
-`secdom.kernel.BACKEND`.
+The exact solver's level scan is a hand-written C extension when it was
+built, with a pure-Python fallback that runs the same algorithm, selected at
+import; see `secdom.kernel.BACKEND`.
 """
 
 from .domination import (

@@ -21,9 +21,11 @@ because a vertex w is left undominated iff it lies outside N[u1] | N[u2]
 and N[w] & S is a subset of {v1, v2}: empty, one of them, or both.  The
 layers are computed once per set and shared by every attack pair.
 
-`solve_level` mirrors `_kernel.pyx`; it is the fallback selected at import
-time when the extension is unavailable, and the benchmark's reference.
-Masks are plain ints, so there is no vertex-count limit.
+The C extension `_kernel.c` runs the algorithm of `solve_level` on uint64
+masks; this module is the fallback selected at import time when the
+extension is unavailable or the graph has more than 64 vertices, and the
+reference the tests compare it with.  Masks are plain ints, so there is no
+vertex-count limit.
 """
 
 from __future__ import annotations

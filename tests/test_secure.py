@@ -1,4 +1,6 @@
 import random
+import signal
+import time
 from itertools import combinations
 
 import pytest
@@ -13,6 +15,7 @@ from secdom import (
     exact_gamma_2s,
     find_defenders,
     first_failure,
+    generate,
     is_dominating,
     verify_2sds,
 )
@@ -264,26 +267,102 @@ class TestDomSetApprox:
         assert is_dominating(G, dom_set_approx(G, 1))
 
 
+def level_scan_family(graphs):
+    """The graphs of a level-scan family: every connected graph on n vertices
+    up to isomorphism for "classes-n<n>", or 12 seeded connected graphs with
+    7-12 vertices for "random"."""
+    if graphs == "random":
+        return seeded_connected_instances(12, 12, 1500, min_n=7)
+    return connected_graphs(int(graphs[len("classes-n"):]), up_to_iso=True)
+
+
 class TestKernelBackends:
-    """Both kernels must agree; the compiled one is optional at runtime."""
+    """The compiled kernel, built by the `compiled_kernel` fixture, against
+    the pure one: `kernel.solve_level` must return the same witness and
+    count on either backend."""
+
+    @pytest.fixture
+    def compiled(self, compiled_kernel, monkeypatch):
+        monkeypatch.setattr(kernel, "_kernel", compiled_kernel)
+        return compiled_kernel
+
+    @staticmethod
+    def assert_agree(G, ks):
+        masks = list(G.closed_masks())
+        for k in ks:
+            assert kernel.solve_level(masks, k) == _pykernel.solve_level(
+                masks, k
+            ), (G.edges, k)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_solve_level_agreement(self, seed):
-        if kernel.BACKEND != "compiled":
-            pytest.skip("compiled kernel not built")
+    def test_solve_level_agreement(self, seed, compiled):
         rng = random.Random(1300 + seed)
         G = random_connected(rng.randint(3, 9), 0.4, rng)
-        masks = list(G.closed_masks())
-        for k in range(2, G.n + 1):
-            assert kernel._kernel.solve_level(masks, k) == _pykernel.solve_level(
-                masks, k
-            )
+        self.assert_agree(G, range(2, G.n + 1))
+
+    @pytest.mark.parametrize(
+        "graphs", [f"classes-n{n}" for n in range(1, 8)] + ["random"]
+    )
+    def test_agreement_on_level_scan_families(self, graphs, compiled):
+        for G in level_scan_family(graphs):
+            self.assert_agree(G, range(-1, G.n + 2))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_agreement_at_64_vertices(self, k, compiled):
+        # the full mask is ~0: bit 63 is a vertex
+        matching_removed = build_graph(
+            64, [(i, j) for i in range(64) for j in range(i + 1, 64) if j != i ^ 1]
+        )
+        for G in (complete(64), matching_removed):
+            self.assert_agree(G, [k])
+
+    def test_more_than_64_vertices_take_the_pure_kernel(self, compiled):
+        masks = list(complete(65).closed_masks())
+        with pytest.raises(ValueError):
+            compiled.witness(masks, 2)
+        assert kernel.solve_level(masks, 2) == ((0, 1), 1)
+
+    @pytest.mark.parametrize(
+        "masks, error",
+        [([3, -1], OverflowError), ([3, 7], ValueError), ([3, "3"], TypeError)],
+    )
+    def test_bad_masks_rejected(self, masks, error, compiled):
+        with pytest.raises(error):
+            compiled.witness(masks, 1)
 
     @pytest.mark.parametrize("k", [-1, 0, 4])
     def test_pure_level_outside_range_examines_nothing(self, k):
         # the compiled kernel's contract for k <= 0 and k > n
         masks = list(path(3).closed_masks())
         assert _pykernel.solve_level(masks, k) == (None, 0)
+
+    @pytest.mark.parametrize("k", [-1, 0, 4])
+    def test_compiled_level_outside_range_examines_nothing(self, k, compiled):
+        masks = list(path(3).closed_masks())
+        assert compiled.witness(masks, k) is None
+        assert kernel.solve_level(masks, k) == (None, 0)
+
+    def test_long_scan_answers_a_signal(self, compiled):
+        """A handler that raises (as Ctrl-C's does) stops a compiled scan
+        that would run for minutes."""
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        masks = list(generate("comb", (24,)).closed_masks())
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            start = time.monotonic()
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            with pytest.raises(Interrupted):
+                kernel.solve_level(masks, 30)
+            assert time.monotonic() - start < 1.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestLevelScan:
@@ -301,13 +380,8 @@ class TestLevelScan:
         "graphs", [f"classes-n{n}" for n in range(1, 7)] + ["random"]
     )
     def test_matches_flat_scan(self, graphs, predicate):
-        if graphs == "random":
-            family = seeded_connected_instances(12, 12, 1500, min_n=7)
-        else:
-            n = int(graphs[len("classes-n"):])
-            family = connected_graphs(n, up_to_iso=True)
         accept = self.PREDICATES[predicate]
-        for G in family:
+        for G in level_scan_family(graphs):
             masks = list(G.closed_masks())
             for k in range(0, G.n + 2):
                 expected = reference_first_subset(masks, k, accept)
