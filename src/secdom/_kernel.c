@@ -8,11 +8,17 @@
      vertices whose closed neighbourhood lies within 0..p; a pick p that
      leaves a vertex of `dead[p]` uncovered ends its prefix and every later
      sibling;
-   - on each dominating candidate S, the layers of S (vertices with exactly
-     one and exactly two members of S in their closed neighbourhood),
-     computed once and shared by every attack pair;
-   - the 2-SDS test, which first retries the last attack pair that defeated
-     a candidate of this scan, then scans every pair in lex order.
+   - per depth, next to `chosen[j]` (the mask of the first j picks), the
+     vertices with at least two (`two[j]`) and at least three (`three[j]`)
+     picks in their closed neighbourhood, updated on each push; the
+     at-least-one layer is `~need[j]`, so a dominating candidate S gets its
+     layers (exactly one and exactly two members of S) in O(1), shared by
+     every attack pair;
+   - the 2-SDS test, which first retries, most recent first, every attack
+     pair that a full scan of this level found undefended, moving a pair
+     that defeats the candidate to the front, then scans every pair in lex
+     order.  Only a full scan adds a pair, and never one of the list, so
+     the list holds at most C(64, 2) distinct pairs.
 
    The count of k-combinations examined is the witness's lex position, which
    `kernel.solve_level` computes in Python, so it has one definition. */
@@ -20,6 +26,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef uint64_t u64;
 
@@ -56,26 +63,34 @@ static int defended(const Set *s, int u1, int u2)
     return 0;
 }
 
-/* Whether the dominating set `smask` is a 2-SDS.  `failed` holds the last
-   attack pair that defeated a candidate ({-1, -1} before the first) and
-   receives the new one. */
-static int is_2sds(const u64 *masks, int n, u64 full, u64 smask, int failed[2])
+/* The attack pairs a full scan of this level found undefended, most recent
+   first. */
+typedef struct {
+    int len;
+    unsigned char u[MAX_N * (MAX_N - 1) / 2][2];
+} Failed;
+
+/* Whether the dominating set S is a 2-SDS: first the pairs of `failed`, then
+   every pair in lex order.  A full scan's failing pair is added in front. */
+static int is_2sds(const Set *s, int n, Failed *failed)
 {
-    u64 one = 0, two = 0, three = 0;
-    for (u64 m = smask; m; m &= m - 1) {
-        u64 nb = masks[LOW(m)];
-        three |= two & nb;
-        two |= one & nb;
-        one |= nb;
+    for (int i = 0; i < failed->len; i++) {
+        unsigned char u1 = failed->u[i][0], u2 = failed->u[i][1];
+        if (!defended(s, u1, u2)) {
+            memmove(failed->u[1], failed->u[0], (size_t)i * sizeof failed->u[0]);
+            failed->u[0][0] = u1;
+            failed->u[0][1] = u2;
+            return 0;
+        }
     }
-    Set s = {masks, full, smask, one & ~two, two & ~three};
-    if (failed[0] >= 0 && !defended(&s, failed[0], failed[1]))
-        return 0;
     for (int u1 = 0; u1 < n; u1++)
         for (int u2 = u1 + 1; u2 < n; u2++)
-            if (!defended(&s, u1, u2)) {
-                failed[0] = u1;
-                failed[1] = u2;
+            if (!defended(s, u1, u2)) {
+                memmove(failed->u[1], failed->u[0],
+                        (size_t)failed->len * sizeof failed->u[0]);
+                failed->u[0][0] = (unsigned char)u1;
+                failed->u[0][1] = (unsigned char)u2;
+                failed->len++;
                 return 0;
             }
     return 1;
@@ -110,7 +125,9 @@ static PyObject *witness(PyObject *self, PyObject *args)
     PyObject *arg, *seq;
     Py_ssize_t size, k;
     u64 masks[MAX_N], dead[MAX_N] = {0}, need[MAX_N], chosen[MAX_N];
+    u64 two[MAX_N], three[MAX_N];
     int picks[MAX_N];
+    Failed failed;
 
     (void)self;
     if (!PyArg_ParseTuple(args, "On:witness", &arg, &k))
@@ -146,10 +163,11 @@ static PyObject *witness(PyObject *self, PyObject *args)
     for (int p = 1; p < n; p++)
         dead[p] |= dead[p - 1];
 
-    int last = (int)k - 1, j = 0, p = 0, failed[2] = {-1, -1};
+    int last = (int)k - 1, j = 0, p = 0;
     unsigned long nodes = 0;
     need[0] = full;
-    chosen[0] = 0;
+    chosen[0] = two[0] = three[0] = 0;
+    failed.len = 0;
     while (j >= 0) {
         TICK();
         u64 rest = need[j];
@@ -158,8 +176,11 @@ static PyObject *witness(PyObject *self, PyObject *args)
                 TICK();
                 u64 unc = rest & ~masks[q];
                 if (!unc) {
+                    u64 nb = masks[q], at2 = two[j] | (~rest & nb);
+                    Set s = {masks, full, chosen[j] | BIT(q), full & ~at2,
+                             at2 & ~(three[j] | (two[j] & nb))};
                     picks[j] = q;
-                    if (is_2sds(masks, n, full, chosen[j] | BIT(q), failed))
+                    if (is_2sds(&s, n, &failed))
                         return picks_tuple(picks, (int)k);
                 } else if (unc & dead[q]) {
                     break;
@@ -171,6 +192,8 @@ static PyObject *witness(PyObject *self, PyObject *args)
                 picks[j] = p;
                 need[j + 1] = unc;
                 chosen[j + 1] = chosen[j] | BIT(p);
+                two[j + 1] = two[j] | (~rest & masks[p]);
+                three[j + 1] = three[j] | (two[j] & masks[p]);
                 j++;
                 p++;
                 continue;

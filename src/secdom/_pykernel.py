@@ -8,7 +8,9 @@ covers incrementally, one OR per node, and abandons a prefix together with
 every later sibling as soon as a vertex it leaves uncovered has its whole
 closed neighbourhood at or below the last pick: no later pick can cover it.
 Its count is a lex position, not a count of visited nodes, so it equals what
-a flat scan of every k-combination would report.
+a flat scan of every k-combination would report.  It carries the layers of
+the picks down its path, filled lazily, so its `accept` reads the layers of
+a candidate in O(1).
 
 The defence search tests a swap without rebuilding the swapped set.
 `layers` sorts the vertices by how many members of S their closed
@@ -19,7 +21,9 @@ neighbourhood holds: none (`zero`), exactly one (`ex1`) or exactly two
 
 because a vertex w is left undominated iff it lies outside N[u1] | N[u2]
 and N[w] & S is a subset of {v1, v2}: empty, one of them, or both.  The
-layers are computed once per set and shared by every attack pair.
+layers are computed once per set and shared by every attack pair.  The
+2-SDS test of `solve_level` retries every attack pair that failed at its
+level before it scans every pair.
 
 The C extension `_kernel.c` runs the algorithm of `solve_level` on uint64
 masks; this module is the fallback selected at import time when the
@@ -50,10 +54,13 @@ def _lex_position(n: int, combo: Sequence[int]) -> int:
 def first_subset(
     masks: Sequence[int],
     k: int,
-    accept: Optional[Callable[[Sequence[int], int], bool]] = None,
+    accept: Optional[Callable[[Sequence[int], int, int, int], bool]] = None,
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """First k-subset in lex order that dominates and passes `accept(masks,
-    smask)` (if given), or None, with the k-combinations examined up to it.
+    smask, two, three)` (if given), or None, with the k-combinations examined
+    up to it.  `smask` is the subset's mask, `two` and `three` the vertices
+    with at least two and at least three of its members in their closed
+    neighbourhood; at a dominating subset every vertex has at least one.
 
     A depth-first search in lex order: `need[j]` holds the vertices the first
     j picks leave uncovered, and `dead[p]` the vertices whose closed
@@ -62,11 +69,18 @@ def first_subset(
     lie above p too.  The count is the witness's lex position, or C(n, k)
     when there is none: what scanning every k-combination in lex order up to
     the witness would count.  k = 0 examines the empty set once.
+
+    The first j picks' mask and layers are kept per depth, filled lazily:
+    only a dominating leaf with an `accept` fills them, from the deepest
+    depth still valid, and a push at depth j marks every deeper depth stale.
+    The at-least-one layer of depth j is `full & ~need[j]`.  So the scans
+    without `accept` (dom) pay one comparison per push, and `accept` gets its
+    arguments in O(1) per leaf of an unchanged prefix.
     """
     n = len(masks)
     full = (1 << n) - 1
     if k <= 0 or k > n:
-        if k == 0 and full == 0 and (accept is None or accept(masks, 0)):
+        if k == 0 and full == 0 and (accept is None or accept(masks, 0, 0, 0)):
             return (), 1
         return None, comb(n, k)
     dead = [0] * n
@@ -77,6 +91,10 @@ def first_subset(
     last = k - 1
     picks = [0] * k
     need = [full] * k
+    sets = [0] * k  # the mask of the first j picks, valid for j <= valid
+    twos = [0] * k
+    threes = [0] * k
+    valid = 0
     j = p = 0
     while j >= 0:
         rest = need[j]
@@ -85,7 +103,22 @@ def first_subset(
                 unc = rest & ~masks[q]
                 if not unc:
                     picks[j] = q
-                    if accept is None or accept(masks, sum(1 << v for v in picks)):
+                    if accept is None:
+                        return tuple(picks), _lex_position(n, picks)
+                    while valid < last:
+                        nb = masks[picks[valid]]
+                        sets[valid + 1] = sets[valid] | 1 << picks[valid]
+                        threes[valid + 1] = threes[valid] | twos[valid] & nb
+                        twos[valid + 1] = twos[valid] | ~need[valid] & nb
+                        valid += 1
+                    nb = masks[q]
+                    two = twos[last]
+                    if accept(
+                        masks,
+                        sets[last] | 1 << q,
+                        two | ~rest & nb,
+                        threes[last] | two & nb,
+                    ):
                         return tuple(picks), _lex_position(n, picks)
                 elif unc & dead[q]:
                     break
@@ -94,6 +127,8 @@ def first_subset(
             if not unc & dead[p]:
                 picks[j] = p
                 need[j + 1] = unc
+                if valid > j:
+                    valid = j
                 j += 1
                 p += 1
                 continue
@@ -196,26 +231,32 @@ def solve_level(
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """First k-subset (lex order) that is a 2-SDS, plus subsets examined.
 
-    The 2-SDS test first retries the last attack pair that defeated a
-    dominating subset of this level, then scans every pair.  A level
-    k <= 0 examines nothing, as in the compiled kernel.
+    The 2-SDS test reads the layers of the candidate from `first_subset`:
+    a dominating S has no `zero` vertex, `ex1 = full & ~two` and `ex2 = two &
+    ~three`.  It first retries, most recent first, every attack pair that a
+    full scan found undefended at this level, moving a pair that defeats the
+    candidate to the front, and scans every pair only when none does.  A
+    full scan never returns a pair of the list, since the candidate defends
+    those, so the list holds distinct pairs and grows only by full scans.
+    A level k <= 0 examines nothing, as in the compiled kernel.
     """
     if k <= 0:
         return None, 0
     full = (1 << len(masks)) - 1
-    failed: Optional[tuple[int, int]] = None
+    failed: list[tuple[int, int]] = []
 
-    def is_2sds(masks: Sequence[int], smask: int) -> bool:
-        nonlocal failed
-        layered = layers(masks, smask, full)
-        if (
-            failed is not None
-            and defenders(masks, smask, *failed, full, layered) is None
-        ):
-            return False
+    def is_2sds(masks: Sequence[int], smask: int, two: int, three: int) -> bool:
+        layered = (0, full & ~two, two & ~three)
+        for i, pair in enumerate(failed):
+            if defenders(masks, smask, *pair, full, layered) is None:
+                if i:
+                    del failed[i]
+                    failed.insert(0, pair)
+                return False
         pair = first_undefended(masks, smask, None, layered)
-        if pair is not None:
-            failed = pair
-        return pair is None
+        if pair is None:
+            return True
+        failed.insert(0, pair)
+        return False
 
     return first_subset(masks, k, is_2sds)

@@ -117,14 +117,6 @@ def greedy_2dominating(G: Graph) -> tuple[int, ...]:
     return tuple(sorted(picked))
 
 
-def _two_dominates(masks: Sequence[int], dmask: int) -> bool:
-    """Each v outside D has 2 neighbors in D (N[v] & D = N(v) & D there)."""
-    for v in range(len(masks)):
-        if not (dmask >> v) & 1 and (masks[v] & dmask).bit_count() < 2:
-            return False
-    return True
-
-
 def exact_minimum(
     G: Graph, kind: str, budget: int = DEFAULT_DOMINATION_BUDGET
 ) -> SolveReport:
@@ -132,6 +124,9 @@ def exact_minimum(
 
     Each level is one `_pykernel.first_subset` scan, so the 2-domination
     test runs only on dominating subsets (every 2-dominating set dominates).
+    D 2-dominates iff every vertex is in D or has two members of D in its
+    closed neighbourhood, since N[v] & D = N(v) & D for v outside D: one OR
+    with the scan's at-least-two layer.
     Among minimum sets the lexicographically least is reported.  Refuses
     instances over the enumeration budget rather than degrading silently.
     """
@@ -142,7 +137,12 @@ def exact_minimum(
     if G.n > budget:
         raise BudgetExceededError(G.n, budget)
     masks = G.closed_masks()
-    accept = None if kind == DOMINATING else _two_dominates
+    full = (1 << G.n) - 1
+
+    def two_dominates(masks: Sequence[int], dmask: int, two: int, _: int) -> bool:
+        return (dmask | two) == full
+
+    accept = None if kind == DOMINATING else two_dominates
     examined = 0
     for k in range(0, G.n + 1):
         witness, count = _pykernel.first_subset(masks, k, accept)

@@ -16,11 +16,11 @@ from secdom import (
     find_defenders,
     first_failure,
     generate,
+    gs_graph,
     is_dominating,
     verify_2sds,
 )
 from secdom import _pykernel, kernel
-from secdom.domination import _two_dominates
 from secdom.enumgraphs import connected_graphs
 from secdom.secure import DefenseCertificate
 from util import (
@@ -276,6 +276,26 @@ def level_scan_family(graphs):
     return connected_graphs(int(graphs[len("classes-n"):]), up_to_iso=True)
 
 
+# Graphs whose 2-SDS scan sees several failing attack pairs alternate.
+ALTERNATING_PAIRS = (
+    [f"comb{n}" for n in (6, 7, 8)] + [f"cycle{n}" for n in range(12, 17)] + ["gs(P3)"]
+)
+
+
+def alternating_pairs_graph(name):
+    """The graph of an `ALTERNATING_PAIRS` name: "comb<teeth>",
+    "cycle<n>" or "gs(P3)"."""
+    if name == "gs(P3)":
+        return gs_graph(path(3)).graph
+    family = name.rstrip("0123456789")
+    return generate(family, (int(name[len(family):]),))
+
+
+def is_2sds(masks, smask, two, three):
+    """The 2-SDS test as a level-scan `accept`, from a full defence scan."""
+    return _pykernel.first_undefended(masks, smask) is None
+
+
 class TestKernelBackends:
     """The compiled kernel, built by the `compiled_kernel` fixture, against
     the pure one: `kernel.solve_level` must return the same witness and
@@ -306,6 +326,11 @@ class TestKernelBackends:
     def test_agreement_on_level_scan_families(self, graphs, compiled):
         for G in level_scan_family(graphs):
             self.assert_agree(G, range(-1, G.n + 2))
+
+    @pytest.mark.parametrize("name", ALTERNATING_PAIRS)
+    def test_agreement_where_failing_pairs_alternate(self, name, compiled):
+        G = alternating_pairs_graph(name)
+        self.assert_agree(G, range(1, G.n + 1))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_agreement_at_64_vertices(self, k, compiled):
@@ -371,8 +396,11 @@ class TestLevelScan:
 
     PREDICATES = {
         "dom": None,
-        "2dom": _two_dominates,
-        "2sds": lambda masks, smask: _pykernel.first_undefended(masks, smask) is None,
+        "2dom": lambda masks, smask, two, three: all(
+            smask >> v & 1 or (m & smask).bit_count() >= 2
+            for v, m in enumerate(masks)
+        ),
+        "2sds": is_2sds,
     }
 
     @pytest.mark.parametrize("predicate", sorted(PREDICATES))
@@ -389,3 +417,58 @@ class TestLevelScan:
                 assert got == expected, (G.edges, k)
                 if predicate == "2sds" and k >= 1:
                     assert _pykernel.solve_level(masks, k) == expected, (G.edges, k)
+
+    @pytest.mark.parametrize(
+        "graphs", [f"classes-n{n}" for n in range(1, 7)] + ["random"]
+    )
+    def test_accept_gets_the_layers_of_each_dominating_leaf(self, graphs):
+        """`first_subset` carries (smask, two, three) down its path; at every
+        dominating leaf they must equal the flat scan's per-vertex count.
+        The recording `accept` rejects, so every leaf is reached."""
+
+        def recorder(seen):
+            def accept(masks, smask, two, three):
+                seen.append((smask, two, three))
+                return False
+
+            return accept
+
+        for G in level_scan_family(graphs):
+            masks = list(G.closed_masks())
+            for k in range(0, G.n + 2):
+                expected, got = [], []
+                reference_first_subset(masks, k, recorder(expected))
+                _pykernel.first_subset(masks, k, recorder(got))
+                assert got == expected, (G.edges, k)
+
+    @pytest.mark.parametrize("name", ALTERNATING_PAIRS)
+    def test_solve_level_where_failing_pairs_alternate(self, name):
+        G = alternating_pairs_graph(name)
+        masks = list(G.closed_masks())
+        for k in range(1, G.n + 1):
+            expected = reference_first_subset(masks, k, is_2sds)
+            assert _pykernel.solve_level(masks, k) == expected, (G.edges, k)
+
+    def test_defence_calls_of_comb8(self, monkeypatch):
+        """A machine-independent guard on the retry of every failing pair,
+        most recent first: the pure exact solve of comb8 runs 17 full defence
+        scans, the certificate's included, and 5,449 single-pair defence
+        searches, those of the scans included (1,028 and 46,088 when only
+        the last failing pair is retried)."""
+        calls = {"first_undefended": 0, "defenders": 0}
+
+        def counting(name):
+            search = getattr(_pykernel, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return search(*args)
+
+            return counted
+
+        monkeypatch.setattr(kernel, "_kernel", None)
+        for name in calls:
+            monkeypatch.setattr(_pykernel, name, counting(name))
+        report = exact_gamma_2s(generate("comb", (8,)))
+        assert (report.value, report.subsets_examined) == (11, 58648)
+        assert calls == {"first_undefended": 17, "defenders": 5449}

@@ -87,16 +87,26 @@ def oracle_is_2sds(G, S):
 
 def reference_first_subset(masks, k, accept=None):
     """Flat level scan: every k-combination in lex order, the first that
-    dominates and passes `accept(masks, smask)`, with the combinations
-    examined up to and including it."""
-    full = (1 << len(masks)) - 1
+    dominates and passes `accept(masks, smask, two, three)`, with the
+    combinations examined up to and including it.  `two` and `three` are
+    the vertices whose closed neighbourhood holds at least two and at least
+    three members of the combination, counted per vertex."""
+    n = len(masks)
+    full = (1 << n) - 1
     examined = 0
-    for combo in combinations(range(len(masks)), k):
+    for combo in combinations(range(n), k):
         examined += 1
         smask = covered = 0
         for v in combo:
             smask |= 1 << v
             covered |= masks[v]
-        if covered == full and (accept is None or accept(masks, smask)):
-            return combo, examined
+        if covered != full:
+            continue
+        if accept is not None:
+            counts = [(masks[w] & smask).bit_count() for w in range(n)]
+            two = sum(1 << w for w in range(n) if counts[w] >= 2)
+            three = sum(1 << w for w in range(n) if counts[w] >= 3)
+            if not accept(masks, smask, two, three):
+                continue
+        return combo, examined
     return None, examined
