@@ -1,8 +1,8 @@
 """secdom: computing, verifying, and approximating 2-secure dominating sets.
 
-The exact solver's level scan is a hand-written C extension when it was
-built, with a pure-Python fallback that runs the same algorithm, selected at
-import; see `secdom.kernel.BACKEND`.
+Every exact solve runs the level scan of `secdom.kernel`: a hand-written C
+extension when it was built, with a pure-Python fallback that runs the same
+algorithm, selected at import; see `secdom.kernel.BACKEND`.
 """
 
 from .domination import (

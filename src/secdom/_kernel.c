@@ -1,6 +1,6 @@
-/* Compiled level scan for the exact 2-SDS solver.
+/* Compiled level scan for the exact dom, 2dom and 2-SDS solvers.
 
-   `witness(masks, k)` runs the algorithm of `_pykernel.solve_level` on
+   `witness(masks, k, kind)` runs the algorithm of `_pykernel.solve_level` on
    uint64 closed-neighbourhood masks, so it takes at most 64 vertices:
 
    - a depth-first search over k-subsets in lex order, where `need[j]` holds
@@ -14,7 +14,10 @@
      at-least-one layer is `~need[j]`, so a dominating candidate S gets its
      layers (exactly one and exactly two members of S) in O(1), shared by
      every attack pair;
-   - the 2-SDS test, which first retries, most recent first, every attack
+   - at a dominating leaf, the test of `kind`: none for dom; for 2dom,
+     whether every vertex outside S has two picks in its closed
+     neighbourhood, as N[v] & S = N(v) & S for v outside S; for 2-SDS the
+     2-SDS test, which first retries, most recent first, every attack
      pair that a full scan of this level found undefended, moving a pair
      that defeats the candidate to the front, then scans every pair in lex
      order.  Only a full scan adds a pair, and never one of the list, so
@@ -29,6 +32,8 @@
 #include <string.h>
 
 typedef uint64_t u64;
+
+enum { DOM, TWO_DOM, TWO_SDS }; /* the kinds of `_pykernel.solve_level` */
 
 #define MAX_N 64
 #define LOW(m) __builtin_ctzll(m)
@@ -124,14 +129,17 @@ static PyObject *witness(PyObject *self, PyObject *args)
 {
     PyObject *arg, *seq;
     Py_ssize_t size, k;
+    int kind;
     u64 masks[MAX_N], dead[MAX_N] = {0}, need[MAX_N], chosen[MAX_N];
     u64 two[MAX_N], three[MAX_N];
     int picks[MAX_N];
     Failed failed;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "On:witness", &arg, &k))
+    if (!PyArg_ParseTuple(args, "Oni:witness", &arg, &k, &kind))
         return NULL;
+    if (kind < DOM || kind > TWO_SDS)
+        return PyErr_Format(PyExc_ValueError, "unknown level-scan kind %d", kind);
     seq = PySequence_Fast(arg, "masks must be a sequence");
     if (seq == NULL)
         return NULL;
@@ -158,8 +166,10 @@ static PyObject *witness(PyObject *self, PyObject *args)
         dead[HIGH(m | 1)] |= BIT(v); /* a vertex no pick covers is dead anywhere */
     }
     Py_DECREF(seq);
-    if (k <= 0 || k > n)
-        Py_RETURN_NONE;
+    if (k < 0 || k > n || (k == 0 && n > 0))
+        Py_RETURN_NONE; /* no k-subset, or the empty set, which dominates nothing */
+    if (k == 0)
+        return PyTuple_New(0); /* the empty graph: no vertex to cover or attack */
     for (int p = 1; p < n; p++)
         dead[p] |= dead[p - 1];
 
@@ -180,7 +190,8 @@ static PyObject *witness(PyObject *self, PyObject *args)
                     Set s = {masks, full, chosen[j] | BIT(q), full & ~at2,
                              at2 & ~(three[j] | (two[j] & nb))};
                     picks[j] = q;
-                    if (is_2sds(&s, n, &failed))
+                    if (kind == DOM || (kind == TWO_DOM ? (s.smask | at2) == full
+                                                        : is_2sds(&s, n, &failed)))
                         return picks_tuple(picks, (int)k);
                 } else if (unc & dead[q]) {
                     break;
@@ -208,16 +219,16 @@ static PyObject *witness(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"witness", witness, METH_VARARGS,
-     "witness(masks, k)\n--\n\n"
-     "Lex-least k-subset of range(len(masks)) that is a 2-secure dominating\n"
-     "set of the graph with closed-neighbourhood bitmasks `masks`, or None.\n"
-     "At most 64 masks."},
+     "witness(masks, k, kind)\n--\n\n"
+     "Lex-least k-subset of range(len(masks)) that is a set of `kind` (0\n"
+     "dominating, 1 2-dominating, 2 2-secure dominating) of the graph with\n"
+     "closed-neighbourhood bitmasks `masks`, or None.  At most 64 masks."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernel",
-    "Compiled level scan of the exact 2-SDS solver; see secdom.kernel.", -1,
+    "Compiled level scan of the exact solvers; see secdom.kernel.", -1,
     methods, NULL, NULL, NULL, NULL,
 };
 

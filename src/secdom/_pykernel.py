@@ -1,7 +1,7 @@
 """Pure-Python search engine over bitmask adjacency: one level scan
-(`first_subset`) for dom, 2dom and 2-SDS, one per-pair defence search
-(`defenders`), and one defence scan (`first_undefended`) for the 2-SDS test
-and the verifier's certificates.
+(`first_subset`) and its test per kind of set (`solve_level`: dom, 2dom or
+2-SDS), one per-pair defence search (`defenders`), and one defence scan
+(`first_undefended`) for the 2-SDS test and the verifier's certificates.
 
 The level scan is a depth-first search over k-subsets in lex order.  It
 covers incrementally, one OR per node, and abandons a prefix together with
@@ -26,10 +26,9 @@ layers are computed once per set and shared by every attack pair.  The
 level before it scans every pair.
 
 The C extension `_kernel.c` runs the algorithm of `solve_level` on uint64
-masks; this module is the fallback selected at import time when the
-extension is unavailable or the graph has more than 64 vertices, and the
-reference the tests compare it with.  Masks are plain ints, so there is no
-vertex-count limit.
+masks; `kernel.solve_level` picks this module instead when the extension is
+unavailable or the graph has more than 64 vertices, and the tests compare
+the two.  Masks are plain ints, so there is no vertex-count limit.
 """
 
 from __future__ import annotations
@@ -37,15 +36,20 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, Optional, Sequence
 
+# The kinds of set of `solve_level` and the C kernel: dom, 2dom, 2-SDS.
+DOM, TWO_DOM, TWO_SDS = 0, 1, 2
 
-def _lex_position(n: int, combo: Sequence[int]) -> int:
-    """1-based position of `combo` among the k-combinations of range(n) in
-    lex order: at each index i, the combinations that agree before i and
-    pick a smaller vertex at i come first."""
-    k = len(combo)
+
+def examined(n: int, k: int, witness: Optional[Sequence[int]]) -> int:
+    """The k-combinations a flat lex-order scan of range(n) examines up to
+    `witness`: its 1-based lex position, where at each index i the
+    combinations that agree before i and pick a smaller vertex at i come
+    first; or all C(n, k) when there is none, which is 0 for k < 0."""
+    if witness is None:
+        return comb(n, k) if k >= 0 else 0
     position = 1
     prev = -1
-    for i, c in enumerate(combo):
+    for i, c in enumerate(witness):
         position += comb(n - 1 - prev, k - i) - comb(n - c, k - i)
         prev = c
     return position
@@ -68,7 +72,7 @@ def first_subset(
     `dead[p]` uncovered ends its prefix and every later sibling, whose picks
     lie above p too.  The count is the witness's lex position, or C(n, k)
     when there is none: what scanning every k-combination in lex order up to
-    the witness would count.  k = 0 examines the empty set once.
+    the witness would count.  k = 0 examines the empty set once, k < 0 none.
 
     The first j picks' mask and layers are kept per depth, filled lazily:
     only a dominating leaf with an `accept` fills them, from the deepest
@@ -82,7 +86,7 @@ def first_subset(
     if k <= 0 or k > n:
         if k == 0 and full == 0 and (accept is None or accept(masks, 0, 0, 0)):
             return (), 1
-        return None, comb(n, k)
+        return None, examined(n, k, None)
     dead = [0] * n
     for v, m in enumerate(masks):
         dead[m.bit_length() - 1] |= 1 << v
@@ -104,7 +108,7 @@ def first_subset(
                 if not unc:
                     picks[j] = q
                     if accept is None:
-                        return tuple(picks), _lex_position(n, picks)
+                        return tuple(picks), examined(n, k, picks)
                     while valid < last:
                         nb = masks[picks[valid]]
                         sets[valid + 1] = sets[valid] | 1 << picks[valid]
@@ -119,7 +123,7 @@ def first_subset(
                         two | ~rest & nb,
                         threes[last] | two & nb,
                     ):
-                        return tuple(picks), _lex_position(n, picks)
+                        return tuple(picks), examined(n, k, picks)
                 elif unc & dead[q]:
                     break
         elif p < n - last + j:
@@ -135,7 +139,7 @@ def first_subset(
         # depth j holds no live pick from p on: advance the parent's pick
         j -= 1
         p = picks[j] + 1
-    return None, comb(n, k)
+    return None, examined(n, k, None)
 
 
 def layers(masks: Sequence[int], smask: int, full: int) -> tuple[int, int, int]:
@@ -227,9 +231,15 @@ def first_undefended(
 
 
 def solve_level(
-    masks: Sequence[int], k: int
+    masks: Sequence[int], k: int, kind: int
 ) -> tuple[Optional[tuple[int, ...]], int]:
-    """First k-subset (lex order) that is a 2-SDS, plus subsets examined.
+    """First k-subset (lex order) of `kind` (DOM, TWO_DOM or TWO_SDS), plus
+    the k-combinations examined.  Every such set dominates, so each level is
+    one `first_subset` scan, whose `accept` is built for its kind alone.
+
+    D 2-dominates iff every vertex is in D or has two members of D in its
+    closed neighbourhood, since N[v] & D = N(v) & D for v outside D: one OR
+    with the scan's at-least-two layer.
 
     The 2-SDS test reads the layers of the candidate from `first_subset`:
     a dominating S has no `zero` vertex, `ex1 = full & ~two` and `ex2 = two &
@@ -238,11 +248,17 @@ def solve_level(
     candidate to the front, and scans every pair only when none does.  A
     full scan never returns a pair of the list, since the candidate defends
     those, so the list holds distinct pairs and grows only by full scans.
-    A level k <= 0 examines nothing, as in the compiled kernel.
     """
-    if k <= 0:
-        return None, 0
     full = (1 << len(masks)) - 1
+    if kind == DOM:
+        return first_subset(masks, k)
+    if kind == TWO_DOM:
+        def two_dominates(masks: Sequence[int], dmask: int, two: int, _: int) -> bool:
+            return (dmask | two) == full
+
+        return first_subset(masks, k, two_dominates)
+    if kind != TWO_SDS:
+        raise ValueError(f"unknown level-scan kind {kind!r}")
     failed: list[tuple[int, int]] = []
 
     def is_2sds(masks: Sequence[int], smask: int, two: int, three: int) -> bool:

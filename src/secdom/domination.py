@@ -1,21 +1,21 @@
 """Checkers and solvers for classical domination and 2-domination.
 
 Includes the two greedy subroutines consumed by the 2-SDS approximation
-pipeline and an exact solver, run on the pure-Python level scan of
-`_pykernel`, used as the oracle for all optimum comparisons.
+pipeline and an exact solver, run on the level scan of `kernel` (compiled or
+pure, as for 2-SDS), used as the oracle for all optimum comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
-from . import _pykernel
+from . import kernel
 from .graphs import Graph, check_vertex_set
 
 DOMINATING = "dominating"
 TWO_DOMINATING = "two-dominating"
-KINDS = (DOMINATING, TWO_DOMINATING)
+KINDS = {DOMINATING: kernel.DOM, TWO_DOMINATING: kernel.TWO_DOM}
 
 DEFAULT_DOMINATION_BUDGET = 24
 
@@ -122,11 +122,8 @@ def exact_minimum(
 ) -> SolveReport:
     """Smallest set of the requested kind via size-increasing enumeration.
 
-    Each level is one `_pykernel.first_subset` scan, so the 2-domination
+    `kernel.least_set` scans the levels from size 0, so the 2-domination
     test runs only on dominating subsets (every 2-dominating set dominates).
-    D 2-dominates iff every vertex is in D or has two members of D in its
-    closed neighbourhood, since N[v] & D = N(v) & D for v outside D: one OR
-    with the scan's at-least-two layer.
     Among minimum sets the lexicographically least is reported.  Refuses
     instances over the enumeration budget rather than degrading silently.
     """
@@ -136,19 +133,7 @@ def exact_minimum(
         raise ValueError("exact_minimum needs at least one vertex")
     if G.n > budget:
         raise BudgetExceededError(G.n, budget)
-    masks = G.closed_masks()
-    full = (1 << G.n) - 1
-
-    def two_dominates(masks: Sequence[int], dmask: int, two: int, _: int) -> bool:
-        return (dmask | two) == full
-
-    accept = None if kind == DOMINATING else two_dominates
-    examined = 0
-    for k in range(0, G.n + 1):
-        witness, count = _pykernel.first_subset(masks, k, accept)
-        examined += count
-        if witness is not None:
-            return SolveReport(
-                problem=kind, value=k, witness=witness, subsets_examined=examined
-            )
-    raise AssertionError("V itself always qualifies")  # pragma: no cover
+    witness, examined = kernel.least_set(G.closed_masks(), KINDS[kind], 0)
+    return SolveReport(
+        problem=kind, value=len(witness), witness=witness, subsets_examined=examined
+    )

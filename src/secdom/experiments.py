@@ -15,12 +15,6 @@ from .graphs import Graph, build_graph
 from .secure import DEFAULT_2SDS_BUDGET, approx_2sds, exact_gamma_2s, verify_2sds
 
 
-def _report(out: TextIO, ok: bool, check: str, label: str, detail: str) -> bool:
-    status = "PASS" if ok else "FAIL"
-    out.write(f"{status} {check} graph={label} {detail}\n")
-    return ok
-
-
 def run_identities(
     max_n: int = 4, out: Optional[TextIO] = None, corrupt: bool = False
 ) -> tuple[int, int]:
@@ -35,18 +29,22 @@ def run_identities(
         out = sys.stdout
     passed = failed = 0
 
-    def tally(ok: bool) -> None:
+    def report(ok: bool, check: str, detail: str) -> None:
+        """One PASS/FAIL line for the current graph `label`, and its tally."""
         nonlocal passed, failed
         if ok:
             passed += 1
         else:
             failed += 1
+        status = "PASS" if ok else "FAIL"
+        out.write(f"{status} {check} graph={label} {detail}\n")
 
     first = True
     for n in range(1, max_n + 1):
         for idx, G in enumerate(connected_graphs(n, up_to_iso=True)):
             label = f"n{n}#{idx}"
-            gamma = exact_minimum(G, DOMINATING).value
+            dominating = exact_minimum(G, DOMINATING)
+            gamma = dominating.value
 
             # w1/w2 gadget: vertex count, size bound, explicit witness
             result = inapprox_gadget(G)
@@ -57,62 +55,41 @@ def run_identities(
                     gadget.n + 1, list(gadget.edges) + [(G.n, gadget.n)]
                 )
                 first = False
-            tally(
-                _report(
-                    out,
-                    gadget.n == G.n + 5,
-                    "inapprox-vertex-count",
-                    label,
-                    f"value={gadget.n} expected={G.n + 5}",
-                )
+            report(
+                gadget.n == G.n + 5,
+                "inapprox-vertex-count",
+                f"value={gadget.n} expected={G.n + 5}",
             )
             if gadget.n <= DEFAULT_2SDS_BUDGET:
                 g2s = exact_gamma_2s(gadget).value
-                tally(
-                    _report(
-                        out,
-                        g2s <= gamma + 3,
-                        "inapprox-bound",
-                        label,
-                        f"gamma2s={g2s} bound={gamma + 3}",
-                    )
+                report(
+                    g2s <= gamma + 3,
+                    "inapprox-bound",
+                    f"gamma2s={g2s} bound={gamma + 3}",
                 )
-            dstar = exact_minimum(G, DOMINATING).witness
-            witness = tuple(sorted(set(dstar) | {G.n, G.n + 1, G.n + 3}))
-            tally(
-                _report(
-                    out,
-                    verify_2sds(gadget, witness) is not None,
-                    "inapprox-witness",
-                    label,
-                    f"witness_size={len(witness)}",
-                )
+            witness = tuple(sorted(set(dominating.witness) | {G.n, G.n + 1, G.n + 3}))
+            report(
+                verify_2sds(gadget, witness) is not None,
+                "inapprox-witness",
+                f"witness_size={len(witness)}",
             )
 
             # pendant-path gadget identity (stated for max degree <= 3)
             if G.max_degree() <= 3:
                 result = apx_gadget(G)
                 ceil_half = (G.n + 1) // 2
-                tally(
-                    _report(
-                        out,
-                        result.graph.max_degree() <= 4,
-                        "apx-max-degree",
-                        label,
-                        f"delta={result.graph.max_degree()}",
-                    )
+                report(
+                    result.graph.max_degree() <= 4,
+                    "apx-max-degree",
+                    f"delta={result.graph.max_degree()}",
                 )
                 if result.graph.n <= DEFAULT_2SDS_BUDGET:
                     g2s = exact_gamma_2s(result.graph).value
                     expected = gamma + 2 * ceil_half
-                    tally(
-                        _report(
-                            out,
-                            g2s == expected,
-                            "apx-identity",
-                            label,
-                            f"gamma2s={g2s} expected={expected}",
-                        )
+                    report(
+                        g2s == expected,
+                        "apx-identity",
+                        f"gamma2s={g2s} expected={expected}",
                     )
 
             # star-attachment construction; the 3n identity and its witness
@@ -122,38 +99,26 @@ def run_identities(
             gs = result.graph
             if G.n >= 2 and gs.n <= DEFAULT_2SDS_BUDGET:
                 g2s = exact_gamma_2s(gs).value
-                tally(
-                    _report(
-                        out,
-                        g2s == 3 * G.n,
-                        "gs-identity",
-                        label,
-                        f"gamma2s={g2s} expected={3 * G.n}",
-                    )
+                report(
+                    g2s == 3 * G.n,
+                    "gs-identity",
+                    f"gamma2s={g2s} expected={3 * G.n}",
                 )
             if gs.n <= DEFAULT_DOMINATION_BUDGET:
                 gs_gamma = exact_minimum(gs, DOMINATING).value
-                tally(
-                    _report(
-                        out,
-                        gs_gamma == gamma + G.n,
-                        "gs-domination",
-                        label,
-                        f"gamma={gs_gamma} expected={gamma + G.n}",
-                    )
+                report(
+                    gs_gamma == gamma + G.n,
+                    "gs-domination",
+                    f"gamma={gs_gamma} expected={gamma + G.n}",
                 )
             if G.n >= 2:
                 witness = tuple(range(G.n)) + tuple(
                     G.n + 4 * i + j for i in range(G.n) for j in (1, 2)
                 )
-                tally(
-                    _report(
-                        out,
-                        verify_2sds(gs, witness) is not None,
-                        "gs-witness",
-                        label,
-                        f"witness_size={len(witness)}",
-                    )
+                report(
+                    verify_2sds(gs, witness) is not None,
+                    "gs-witness",
+                    f"witness_size={len(witness)}",
                 )
     out.write(f"passed={passed} failed={failed}\n")
     return passed, failed

@@ -150,28 +150,21 @@ def induced_subgraph(
     return Graph(len(kept), edges), old_to_new
 
 
-def has_maximum_neighbor(G: Graph, v: int) -> Optional[int]:
-    """Least u in N[v] whose closed neighborhood contains N[w] for all w in N[v]."""
-    G._check_vertex(v)
-    masks = G.closed_masks()
-    for u in G.closed_neighborhood(v):
-        if all(masks[w] & ~masks[u] == 0 for w in G.closed_neighborhood(v)):
+def _maximum_neighbor(masks: Sequence[int], alive: int, v: int) -> Optional[int]:
+    """Least u in N[v] whose closed neighborhood contains N[w] for all w in
+    N[v], in the subgraph induced by the vertices of the mask `alive`."""
+    closed = masks[v] & alive
+    nbrs = [w for w in range(len(masks)) if closed >> w & 1]
+    for u in nbrs:
+        if all(masks[w] & alive & ~masks[u] == 0 for w in nbrs):
             return u
     return None
 
 
-def _is_simplicial(adj_sets: list[set[int]], alive: set[int], v: int) -> bool:
-    nbrs = [w for w in adj_sets[v] if w in alive]
-    return all(b in adj_sets[a] for i, a in enumerate(nbrs) for b in nbrs[i + 1 :])
-
-
-def _has_max_neighbor_in(adj_sets: list[set[int]], alive: set[int], v: int) -> bool:
-    closed = {v} | (adj_sets[v] & alive)
-    for u in sorted(closed):
-        u_closed = {u} | (adj_sets[u] & alive)
-        if all(({w} | (adj_sets[w] & alive)) <= u_closed for w in closed):
-            return True
-    return False
+def has_maximum_neighbor(G: Graph, v: int) -> Optional[int]:
+    """Least u in N[v] whose closed neighborhood contains N[w] for all w in N[v]."""
+    G._check_vertex(v)
+    return _maximum_neighbor(G.closed_masks(), (1 << G.n) - 1, v)
 
 
 def find_dpeo(G: Graph) -> Optional[tuple[int, ...]]:
@@ -182,19 +175,21 @@ def find_dpeo(G: Graph) -> Optional[tuple[int, ...]]:
     order if all vertices peel, None otherwise.  A successful ordering is
     self-certifying: replaying the peel re-validates every step.
     """
-    adj_sets = [set(a) for a in G.adj]
-    alive = set(range(G.n))
+    masks = G.closed_masks()
+    alive = (1 << G.n) - 1
     order: list[int] = []
     while alive:
-        pick = None
-        for v in sorted(alive):
-            if _is_simplicial(adj_sets, alive, v) and _has_max_neighbor_in(
-                adj_sets, alive, v
+        for v in range(G.n):
+            closed = masks[v] & alive
+            # simplicial: N[v] lies in the closed neighborhood of each member
+            if (
+                alive >> v & 1
+                and all(closed & ~masks[w] == 0 for w in range(G.n) if closed >> w & 1)
+                and _maximum_neighbor(masks, alive, v) is not None
             ):
-                pick = v
                 break
-        if pick is None:
+        else:
             return None
-        order.append(pick)
-        alive.remove(pick)
+        order.append(v)
+        alive &= ~(1 << v)
     return tuple(order)

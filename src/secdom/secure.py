@@ -158,22 +158,16 @@ def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
         raise DisconnectedGraphError("exact_gamma_2s requires a connected graph")
     if G.n > budget:
         raise BudgetExceededError(G.n, budget)
-    masks = list(G.closed_masks())
-    examined = 0
-    for k in range(2, G.n + 1):
-        witness, count = kernel.solve_level(masks, k)
-        examined += count
-        if witness is not None:
-            cert, _ = _scan_2sds(G, witness, build_certificate=True)
-            assert cert is not None
-            return SolveReport(
-                problem="2sds",
-                value=k,
-                witness=witness,
-                certificate=cert,
-                subsets_examined=examined,
-            )
-    raise AssertionError("V is always a 2-SDS of a connected graph")  # pragma: no cover
+    witness, examined = kernel.least_set(G.closed_masks(), kernel.TWO_SDS, 2)
+    cert, _ = _scan_2sds(G, witness, build_certificate=True)
+    assert cert is not None
+    return SolveReport(
+        problem="2sds",
+        value=len(witness),
+        witness=witness,
+        certificate=cert,
+        subsets_examined=examined,
+    )
 
 
 def approx_2sds(G: Graph) -> tuple[int, ...]:

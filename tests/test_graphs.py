@@ -9,6 +9,7 @@ from secdom import (
     has_maximum_neighbor,
     induced_subgraph,
 )
+from secdom.enumgraphs import connected_graphs
 from util import K1, K3, complete, cycle, path, star
 
 
@@ -145,22 +146,35 @@ class TestDpeo:
     @given(small_graphs())
     @settings(max_examples=60)
     def test_orderings_self_certify(self, G):
-        order = find_dpeo(G)
-        if order is None:
-            return
-        assert sorted(order) == list(range(G.n))
-        alive = set(range(G.n))
-        for v in order:
-            nbrs = [w for w in G.adj[v] if w in alive]
-            assert all(
-                G.has_edge(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :]
-            )
-            closed = {v, *nbrs}
-            assert any(
-                all(
-                    ({w} | (set(G.adj[w]) & alive)) <= ({u} | (set(G.adj[u]) & alive))
-                    for w in closed
-                )
-                for u in sorted(closed)
-            )
-            alive.remove(v)
+        assert find_dpeo(G) == literal_peel(G)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_literal_peel_on_small_classes(self, n):
+        for G in connected_graphs(n, up_to_iso=True):
+            assert find_dpeo(G) == literal_peel(G), G.edges
+
+
+def literal_peel(G):
+    """The greedy peel with plain sets: remove the least vertex that is
+    doubly simplicial (simplicial, with a maximum neighbor) in what is left,
+    while there is one.  The removal order, or None if a vertex stays."""
+
+    def closed_in(alive, v):
+        return {v} | (set(G.adj[v]) & alive)
+
+    def doubly_simplicial(alive, v):
+        closed = closed_in(alive, v)
+        return all(closed <= closed_in(alive, w) for w in closed) and any(
+            all(closed_in(alive, w) <= closed_in(alive, u) for w in closed)
+            for u in closed
+        )
+
+    alive = set(range(G.n))
+    order = []
+    while alive:
+        peelable = [v for v in sorted(alive) if doubly_simplicial(alive, v)]
+        if not peelable:
+            return None
+        order.append(peelable[0])
+        alive.remove(peelable[0])
+    return tuple(order)

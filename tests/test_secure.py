@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 
 from secdom import (
+    DOMINATING,
+    TWO_DOMINATING,
     BudgetExceededError,
     DisconnectedGraphError,
     GraphError,
@@ -13,6 +15,7 @@ from secdom import (
     build_graph,
     dom_set_approx,
     exact_gamma_2s,
+    exact_minimum,
     find_defenders,
     first_failure,
     generate,
@@ -296,10 +299,13 @@ def is_2sds(masks, smask, two, three):
     return _pykernel.first_undefended(masks, smask) is None
 
 
+KINDS = (kernel.DOM, kernel.TWO_DOM, kernel.TWO_SDS)
+
+
 class TestKernelBackends:
     """The compiled kernel, built by the `compiled_kernel` fixture, against
     the pure one: `kernel.solve_level` must return the same witness and
-    count on either backend."""
+    count on either backend, for every kind."""
 
     @pytest.fixture
     def compiled(self, compiled_kernel, monkeypatch):
@@ -309,10 +315,11 @@ class TestKernelBackends:
     @staticmethod
     def assert_agree(G, ks):
         masks = list(G.closed_masks())
-        for k in ks:
-            assert kernel.solve_level(masks, k) == _pykernel.solve_level(
-                masks, k
-            ), (G.edges, k)
+        for kind in KINDS:
+            for k in ks:
+                assert kernel.solve_level(masks, k, kind) == _pykernel.solve_level(
+                    masks, k, kind
+                ), (G.edges, k, kind)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_solve_level_agreement(self, seed, compiled):
@@ -344,8 +351,8 @@ class TestKernelBackends:
     def test_more_than_64_vertices_take_the_pure_kernel(self, compiled):
         masks = list(complete(65).closed_masks())
         with pytest.raises(ValueError):
-            compiled.witness(masks, 2)
-        assert kernel.solve_level(masks, 2) == ((0, 1), 1)
+            compiled.witness(masks, 2, kernel.TWO_SDS)
+        assert kernel.solve_level(masks, 2, kernel.TWO_SDS) == ((0, 1), 1)
 
     @pytest.mark.parametrize(
         "masks, error",
@@ -353,19 +360,66 @@ class TestKernelBackends:
     )
     def test_bad_masks_rejected(self, masks, error, compiled):
         with pytest.raises(error):
-            compiled.witness(masks, 1)
+            compiled.witness(masks, 1, kernel.TWO_SDS)
 
-    @pytest.mark.parametrize("k", [-1, 0, 4])
-    def test_pure_level_outside_range_examines_nothing(self, k):
-        # the compiled kernel's contract for k <= 0 and k > n
+    @pytest.mark.parametrize("kind", [3, -1])
+    def test_unknown_kind_rejected(self, kind, compiled):
         masks = list(path(3).closed_masks())
-        assert _pykernel.solve_level(masks, k) == (None, 0)
+        with pytest.raises(ValueError):
+            compiled.witness(masks, 1, kind)
+        with pytest.raises(ValueError):
+            _pykernel.solve_level(masks, 1, kind)
 
-    @pytest.mark.parametrize("k", [-1, 0, 4])
+    # The count of a flat scan of the k-combinations: none for k < 0 or
+    # k > n, and the empty set, once, for k = 0.
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_pure_level_outside_range_examines_nothing(self, k):
+        masks = list(path(3).closed_masks())
+        assert _pykernel.first_subset(masks, k) == (None, 0)
+        for kind in KINDS:
+            assert _pykernel.solve_level(masks, k, kind) == (None, 0)
+
+    @pytest.mark.parametrize("k", [-1, 4])
     def test_compiled_level_outside_range_examines_nothing(self, k, compiled):
         masks = list(path(3).closed_masks())
-        assert compiled.witness(masks, k) is None
-        assert kernel.solve_level(masks, k) == (None, 0)
+        for kind in KINDS:
+            assert compiled.witness(masks, k, kind) is None
+            assert kernel.solve_level(masks, k, kind) == (None, 0)
+
+    def test_pure_level_zero_examines_the_empty_set(self):
+        masks = list(path(3).closed_masks())
+        assert _pykernel.first_subset(masks, 0) == (None, 1)
+        for kind in KINDS:
+            assert _pykernel.solve_level(masks, 0, kind) == (None, 1)
+            # the empty set dominates the empty graph, and is of every kind
+            assert _pykernel.solve_level([], 0, kind) == ((), 1)
+
+    def test_compiled_level_zero_examines_the_empty_set(self, compiled):
+        masks = list(path(3).closed_masks())
+        for kind in KINDS:
+            assert compiled.witness(masks, 0, kind) is None
+            assert kernel.solve_level(masks, 0, kind) == (None, 1)
+            assert kernel.solve_level([], 0, kind) == ((), 1)
+
+    # The dom and 2dom solves of the exact-solve benchmark workload.
+    DOMINATION_SOLVES = {
+        "comb10.dom": ("comb", (10,), DOMINATING),
+        "comb11.dom": ("comb", (11,), DOMINATING),
+        "cycle22.dom": ("cycle", (22,), DOMINATING),
+        "path22.dom": ("path", (22,), DOMINATING),
+        "comb8.2dom": ("comb", (8,), TWO_DOMINATING),
+        "cycle16.2dom": ("cycle", (16,), TWO_DOMINATING),
+        "rand16.2dom": ("random-connected", (16, 0.25), TWO_DOMINATING),
+    }
+
+    @pytest.mark.parametrize("name", list(DOMINATION_SOLVES))
+    def test_exact_minimum_agreement(self, name, compiled, monkeypatch):
+        """The same value, witness and count on either backend."""
+        family, params, kind = self.DOMINATION_SOLVES[name]
+        G = generate(family, params, seed=16)
+        on_compiled = exact_minimum(G, kind)
+        monkeypatch.setattr(kernel, "_kernel", None)
+        assert exact_minimum(G, kind) == on_compiled
 
     def test_long_scan_answers_a_signal(self, compiled):
         """A handler that raises (as Ctrl-C's does) stops a compiled scan
@@ -383,7 +437,7 @@ class TestKernelBackends:
             start = time.monotonic()
             signal.setitimer(signal.ITIMER_REAL, 0.3)
             with pytest.raises(Interrupted):
-                kernel.solve_level(masks, 30)
+                kernel.solve_level(masks, 30, kernel.TWO_SDS)
             assert time.monotonic() - start < 1.0
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -402,6 +456,7 @@ class TestLevelScan:
         ),
         "2sds": is_2sds,
     }
+    KIND = {"dom": kernel.DOM, "2dom": kernel.TWO_DOM, "2sds": kernel.TWO_SDS}
 
     @pytest.mark.parametrize("predicate", sorted(PREDICATES))
     @pytest.mark.parametrize(
@@ -415,8 +470,8 @@ class TestLevelScan:
                 expected = reference_first_subset(masks, k, accept)
                 got = _pykernel.first_subset(masks, k, accept)
                 assert got == expected, (G.edges, k)
-                if predicate == "2sds" and k >= 1:
-                    assert _pykernel.solve_level(masks, k) == expected, (G.edges, k)
+                kind = self.KIND[predicate]
+                assert _pykernel.solve_level(masks, k, kind) == expected, (G.edges, k)
 
     @pytest.mark.parametrize(
         "graphs", [f"classes-n{n}" for n in range(1, 7)] + ["random"]
@@ -447,7 +502,8 @@ class TestLevelScan:
         masks = list(G.closed_masks())
         for k in range(1, G.n + 1):
             expected = reference_first_subset(masks, k, is_2sds)
-            assert _pykernel.solve_level(masks, k) == expected, (G.edges, k)
+            got = _pykernel.solve_level(masks, k, kernel.TWO_SDS)
+            assert got == expected, (G.edges, k)
 
     def test_defence_calls_of_comb8(self, monkeypatch):
         """A machine-independent guard on the retry of every failing pair,
