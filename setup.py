@@ -12,15 +12,9 @@ class OptionalBuildExt(build_ext):
         try:
             super().run()
         except Exception as exc:  # compiler missing, etc.
-            print(f"warning: skipping compiled kernel ({exc})", file=sys.stderr)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
             print(
-                f"warning: could not build {ext.name} ({exc}); "
-                "using the pure-Python kernel",
+                f"warning: skipping compiled kernel ({exc}); "
+                "the package uses the pure-Python kernel",
                 file=sys.stderr,
             )
 

@@ -1,8 +1,10 @@
 """secdom: computing, verifying, and approximating 2-secure dominating sets.
 
-Every exact solve runs the level scan of `secdom.kernel`: a hand-written C
-extension when it was built, with a pure-Python fallback that runs the same
-algorithm, selected at import; see `secdom.kernel.BACKEND`.
+Every exact solve runs the level scan of `secdom.kernel.solve_level`, which
+calls `witness(masks, k, kind)` of one of two backends that run the same
+algorithm: a hand-written C extension when it was built, else the pure-Python
+`secdom._pykernel`, selected at import (see `secdom.kernel.BACKEND`); it
+counts the subsets examined itself, for either.
 """
 
 from .domination import (

@@ -1,7 +1,7 @@
 /* Compiled level scan for the exact dom, 2dom and 2-SDS solvers.
 
-   `witness(masks, k, kind)` runs the algorithm of `_pykernel.solve_level` on
-   uint64 closed-neighbourhood masks, so it takes at most 64 vertices:
+   `witness(masks, k, kind)` is `_pykernel.witness` on uint64
+   closed-neighbourhood masks, so it takes at most 64 vertices:
 
    - a depth-first search over k-subsets in lex order, where `need[j]` holds
      the vertices the first j picks leave uncovered and `dead[p]` the
@@ -23,8 +23,9 @@
      order.  Only a full scan adds a pair, and never one of the list, so
      the list holds at most C(64, 2) distinct pairs.
 
-   The count of k-combinations examined is the witness's lex position, which
-   `kernel.solve_level` computes in Python, so it has one definition. */
+   `kernel.solve_level` picks this module or `_pykernel` and computes the
+   count of k-combinations examined, the witness's lex position, for either
+   (`kernel.examined`), so it has one definition. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -33,7 +34,7 @@
 
 typedef uint64_t u64;
 
-enum { DOM, TWO_DOM, TWO_SDS }; /* the kinds of `_pykernel.solve_level` */
+enum { DOM, TWO_DOM, TWO_SDS }; /* the kinds of `_pykernel.witness` */
 
 #define MAX_N 64
 #define LOW(m) __builtin_ctzll(m)

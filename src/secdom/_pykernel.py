@@ -1,16 +1,14 @@
 """Pure-Python search engine over bitmask adjacency: one level scan
-(`first_subset`) and its test per kind of set (`solve_level`: dom, 2dom or
-2-SDS), one per-pair defence search (`defenders`), and one defence scan
-(`first_undefended`) for the 2-SDS test and the verifier's certificates.
+(`witness`, for dom, 2dom or 2-SDS), one per-pair defence search
+(`defenders`), and one defence scan (`first_undefended`) for the 2-SDS test
+and the verifier's certificates.
 
 The level scan is a depth-first search over k-subsets in lex order.  It
 covers incrementally, one OR per node, and abandons a prefix together with
 every later sibling as soon as a vertex it leaves uncovered has its whole
 closed neighbourhood at or below the last pick: no later pick can cover it.
-Its count is a lex position, not a count of visited nodes, so it equals what
-a flat scan of every k-combination would report.  It carries the layers of
-the picks down its path, filled lazily, so its `accept` reads the layers of
-a candidate in O(1).
+It carries the layers of the picks down its path, filled lazily, so the test
+of its kind reads the layers of a dominating leaf in O(1).
 
 The defence search tests a swap without rebuilding the swapped set.
 `layers` sorts the vertices by how many members of S their closed
@@ -22,71 +20,55 @@ neighbourhood holds: none (`zero`), exactly one (`ex1`) or exactly two
 because a vertex w is left undominated iff it lies outside N[u1] | N[u2]
 and N[w] & S is a subset of {v1, v2}: empty, one of them, or both.  The
 layers are computed once per set and shared by every attack pair.  The
-2-SDS test of `solve_level` retries every attack pair that failed at its
-level before it scans every pair.
+2-SDS test of `witness` retries every attack pair that failed at its level
+before it scans every pair.
 
-The C extension `_kernel.c` runs the algorithm of `solve_level` on uint64
-masks; `kernel.solve_level` picks this module instead when the extension is
-unavailable or the graph has more than 64 vertices, and the tests compare
-the two.  Masks are plain ints, so there is no vertex-count limit.
+The C extension `_kernel.c` exports the same `witness(masks, k, kind)` on
+uint64 masks; `kernel.solve_level` picks this module instead when the
+extension is unavailable or the graph has more than 64 vertices, and counts
+the k-combinations examined for either.  Masks are plain ints, so there is
+no vertex-count limit.
 """
 
 from __future__ import annotations
 
-from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-# The kinds of set of `solve_level` and the C kernel: dom, 2dom, 2-SDS.
+# The kinds of set of `witness` and the C kernel: dom, 2dom, 2-SDS.
 DOM, TWO_DOM, TWO_SDS = 0, 1, 2
 
 
-def examined(n: int, k: int, witness: Optional[Sequence[int]]) -> int:
-    """The k-combinations a flat lex-order scan of range(n) examines up to
-    `witness`: its 1-based lex position, where at each index i the
-    combinations that agree before i and pick a smaller vertex at i come
-    first; or all C(n, k) when there is none, which is 0 for k < 0."""
-    if witness is None:
-        return comb(n, k) if k >= 0 else 0
-    position = 1
-    prev = -1
-    for i, c in enumerate(witness):
-        position += comb(n - 1 - prev, k - i) - comb(n - c, k - i)
-        prev = c
-    return position
-
-
-def first_subset(
-    masks: Sequence[int],
-    k: int,
-    accept: Optional[Callable[[Sequence[int], int, int, int], bool]] = None,
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """First k-subset in lex order that dominates and passes `accept(masks,
-    smask, two, three)` (if given), or None, with the k-combinations examined
-    up to it.  `smask` is the subset's mask, `two` and `three` the vertices
-    with at least two and at least three of its members in their closed
-    neighbourhood; at a dominating subset every vertex has at least one.
+def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]]:
+    """Lex-least k-subset of range(len(masks)) that is a set of `kind` (DOM,
+    TWO_DOM or TWO_SDS) of the graph with closed-neighbourhood bitmasks
+    `masks`, or None.  Every such set dominates, so the test of `kind` runs
+    only at a dominating leaf.  The empty set is of every kind on the empty
+    graph and of none on any other.
 
     A depth-first search in lex order: `need[j]` holds the vertices the first
     j picks leave uncovered, and `dead[p]` the vertices whose closed
     neighbourhood lies within 0..p.  A pick p that leaves a vertex of
     `dead[p]` uncovered ends its prefix and every later sibling, whose picks
-    lie above p too.  The count is the witness's lex position, or C(n, k)
-    when there is none: what scanning every k-combination in lex order up to
-    the witness would count.  k = 0 examines the empty set once, k < 0 none.
+    lie above p too.
 
-    The first j picks' mask and layers are kept per depth, filled lazily:
-    only a dominating leaf with an `accept` fills them, from the deepest
-    depth still valid, and a push at depth j marks every deeper depth stale.
-    The at-least-one layer of depth j is `full & ~need[j]`.  So the scans
-    without `accept` (dom) pay one comparison per push, and `accept` gets its
-    arguments in O(1) per leaf of an unchanged prefix.
+    The first j picks' mask and the vertices with at least two and at least
+    three picks in their closed neighbourhood are kept per depth, filled
+    lazily: only a dominating leaf of TWO_DOM or TWO_SDS fills them, from the
+    deepest depth still valid, and a push at depth j marks every deeper depth
+    stale.  The at-least-one layer of depth j is `full & ~need[j]`.  So the
+    dom scans pay one comparison per push, and the test gets the layers in
+    O(1) per leaf of an unchanged prefix.
+
+    D 2-dominates iff every vertex is in D or has two members of D in its
+    closed neighbourhood, since N[v] & D = N(v) & D for v outside D: one OR
+    with the at-least-two layer.  The 2-SDS test is `_is_2sds`.
     """
+    if kind not in (DOM, TWO_DOM, TWO_SDS):
+        raise ValueError(f"unknown level-scan kind {kind!r}")
     n = len(masks)
     full = (1 << n) - 1
     if k <= 0 or k > n:
-        if k == 0 and full == 0 and (accept is None or accept(masks, 0, 0, 0)):
-            return (), 1
-        return None, examined(n, k, None)
+        return () if k == 0 and full == 0 else None
     dead = [0] * n
     for v, m in enumerate(masks):
         dead[m.bit_length() - 1] |= 1 << v
@@ -99,6 +81,7 @@ def first_subset(
     twos = [0] * k
     threes = [0] * k
     valid = 0
+    failed: list[tuple[int, int]] = []  # for TWO_SDS, see `_is_2sds`
     j = p = 0
     while j >= 0:
         rest = need[j]
@@ -107,8 +90,8 @@ def first_subset(
                 unc = rest & ~masks[q]
                 if not unc:
                     picks[j] = q
-                    if accept is None:
-                        return tuple(picks), examined(n, k, picks)
+                    if kind == DOM:
+                        return tuple(picks)
                     while valid < last:
                         nb = masks[picks[valid]]
                         sets[valid + 1] = sets[valid] | 1 << picks[valid]
@@ -116,14 +99,19 @@ def first_subset(
                         twos[valid + 1] = twos[valid] | ~need[valid] & nb
                         valid += 1
                     nb = masks[q]
-                    two = twos[last]
-                    if accept(
+                    smask = sets[last] | 1 << q
+                    two = twos[last] | ~rest & nb
+                    if kind == TWO_DOM:
+                        if (smask | two) == full:
+                            return tuple(picks)
+                    elif _is_2sds(
                         masks,
-                        sets[last] | 1 << q,
-                        two | ~rest & nb,
-                        threes[last] | two & nb,
+                        smask,
+                        full,
+                        (0, full & ~two, two & ~(threes[last] | twos[last] & nb)),
+                        failed,
                     ):
-                        return tuple(picks), examined(n, k, picks)
+                        return tuple(picks)
                 elif unc & dead[q]:
                     break
         elif p < n - last + j:
@@ -139,7 +127,36 @@ def first_subset(
         # depth j holds no live pick from p on: advance the parent's pick
         j -= 1
         p = picks[j] + 1
-    return None, examined(n, k, None)
+    return None
+
+
+def _is_2sds(
+    masks: Sequence[int],
+    smask: int,
+    full: int,
+    layered: tuple[int, int, int],
+    failed: list[tuple[int, int]],
+) -> bool:
+    """Whether the dominating set S = `smask` is a 2-SDS.  `layered` is
+    `layers(masks, smask, full)`, which the level scan gives as (0, full &
+    ~two, two & ~three), since a dominating S has no `zero` vertex.
+
+    `failed` holds, most recent first, every attack pair that a full scan
+    found undefended at this level.  They are retried first, and a pair that
+    defeats S moves to the front; every pair is scanned only when none does.
+    A full scan never returns a pair of the list, since S defends those, so
+    the list holds distinct pairs and grows only by full scans."""
+    for i, pair in enumerate(failed):
+        if defenders(masks, smask, *pair, full, layered) is None:
+            if i:
+                del failed[i]
+                failed.insert(0, pair)
+            return False
+    pair = first_undefended(masks, smask, None, layered)
+    if pair is None:
+        return True
+    failed.insert(0, pair)
+    return False
 
 
 def layers(masks: Sequence[int], smask: int, full: int) -> tuple[int, int, int]:
@@ -229,50 +246,3 @@ def first_undefended(
                 table[(u1, u2)] = pair
     return None
 
-
-def solve_level(
-    masks: Sequence[int], k: int, kind: int
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """First k-subset (lex order) of `kind` (DOM, TWO_DOM or TWO_SDS), plus
-    the k-combinations examined.  Every such set dominates, so each level is
-    one `first_subset` scan, whose `accept` is built for its kind alone.
-
-    D 2-dominates iff every vertex is in D or has two members of D in its
-    closed neighbourhood, since N[v] & D = N(v) & D for v outside D: one OR
-    with the scan's at-least-two layer.
-
-    The 2-SDS test reads the layers of the candidate from `first_subset`:
-    a dominating S has no `zero` vertex, `ex1 = full & ~two` and `ex2 = two &
-    ~three`.  It first retries, most recent first, every attack pair that a
-    full scan found undefended at this level, moving a pair that defeats the
-    candidate to the front, and scans every pair only when none does.  A
-    full scan never returns a pair of the list, since the candidate defends
-    those, so the list holds distinct pairs and grows only by full scans.
-    """
-    full = (1 << len(masks)) - 1
-    if kind == DOM:
-        return first_subset(masks, k)
-    if kind == TWO_DOM:
-        def two_dominates(masks: Sequence[int], dmask: int, two: int, _: int) -> bool:
-            return (dmask | two) == full
-
-        return first_subset(masks, k, two_dominates)
-    if kind != TWO_SDS:
-        raise ValueError(f"unknown level-scan kind {kind!r}")
-    failed: list[tuple[int, int]] = []
-
-    def is_2sds(masks: Sequence[int], smask: int, two: int, three: int) -> bool:
-        layered = (0, full & ~two, two & ~three)
-        for i, pair in enumerate(failed):
-            if defenders(masks, smask, *pair, full, layered) is None:
-                if i:
-                    del failed[i]
-                    failed.insert(0, pair)
-                return False
-        pair = first_undefended(masks, smask, None, layered)
-        if pair is None:
-            return True
-        failed.insert(0, pair)
-        return False
-
-    return first_subset(masks, k, is_2sds)

@@ -133,7 +133,7 @@ def exact_minimum(
         raise ValueError("exact_minimum needs at least one vertex")
     if G.n > budget:
         raise BudgetExceededError(G.n, budget)
-    witness, examined = kernel.least_set(G.closed_masks(), KINDS[kind], 0)
+    witness, examined = kernel.least_set(G.closed_masks(), KINDS[kind])
     return SolveReport(
         problem=kind, value=len(witness), witness=witness, subsets_examined=examined
     )

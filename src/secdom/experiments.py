@@ -4,9 +4,8 @@ tables over generated instances."""
 from __future__ import annotations
 
 import csv
-import sys
 import time
-from typing import Optional, TextIO
+from typing import TextIO
 
 from .domination import DEFAULT_DOMINATION_BUDGET, DOMINATING, exact_minimum
 from .enumgraphs import connected_graphs
@@ -14,10 +13,11 @@ from .gadgets import apx_gadget, generate, gs_graph, inapprox_gadget
 from .graphs import Graph, build_graph
 from .secure import DEFAULT_2SDS_BUDGET, approx_2sds, exact_gamma_2s, verify_2sds
 
+# `run_ratios` solves exactly only the instances with at most this many vertices.
+RATIO_EXACT_MAX_N = 9
 
-def run_identities(
-    max_n: int = 4, out: Optional[TextIO] = None, corrupt: bool = False
-) -> tuple[int, int]:
+
+def run_identities(max_n: int = 4, corrupt: bool = False) -> tuple[int, int]:
     """Replay the gadget identities on all connected graphs up to
     isomorphism with at most max_n vertices.
 
@@ -25,8 +25,6 @@ def run_identities(
     (passed, failed).  `corrupt` is a harness sanity hook: it perturbs the
     first gadget so that a detectable FAIL must be produced.
     """
-    if out is None:
-        out = sys.stdout
     passed = failed = 0
 
     def report(ok: bool, check: str, detail: str) -> None:
@@ -37,7 +35,7 @@ def run_identities(
         else:
             failed += 1
         status = "PASS" if ok else "FAIL"
-        out.write(f"{status} {check} graph={label} {detail}\n")
+        print(f"{status} {check} graph={label} {detail}")
 
     first = True
     for n in range(1, max_n + 1):
@@ -120,35 +118,27 @@ def run_identities(
                     "gs-witness",
                     f"witness_size={len(witness)}",
                 )
-    out.write(f"passed={passed} failed={failed}\n")
+    print(f"passed={passed} failed={failed}")
     return passed, failed
 
 
 def run_ratios(
-    family: str,
-    n: int,
-    trials: int,
-    seed: int,
-    p: float = 0.4,
-    csv_out: Optional[TextIO] = None,
-    out: Optional[TextIO] = None,
-    exact_cap: int = 9,
+    family: str, n: int, trials: int, seed: int, csv_out: TextIO, p: float = 0.4
 ) -> tuple[int, int]:
-    """Tabulate the greedy 2-SDS size against the exact optimum.
+    """Tabulate the greedy 2-SDS size against the exact optimum, one CSV row
+    per instance to `csv_out`; the exact columns stay empty above
+    `RATIO_EXACT_MAX_N` vertices.
 
     Random families draw `trials` seeded samples at size n; deterministic
     families emit one row per size up to n.  Returns (rows, violations)
     where a violation is a ratio above Delta+1.
     """
-    if out is None:
-        out = sys.stdout
-    writer = csv.writer(csv_out) if csv_out is not None else None
+    writer = csv.writer(csv_out)
     header = [
         "family", "n", "m", "delta", "gamma", "gamma2s",
         "approx_size", "ratio", "elapsed_ms",
     ]
-    if writer:
-        writer.writerow(header)
+    writer.writerow(header)
     rows = violations = 0
     instances: list[Graph] = []
     if family in ("random-connected", "random-split"):
@@ -164,7 +154,7 @@ def run_ratios(
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         delta = G.max_degree()
         gamma = gamma2s = None
-        if G.n <= exact_cap:
+        if G.n <= RATIO_EXACT_MAX_N:
             gamma = exact_minimum(G, DOMINATING).value
             gamma2s = exact_gamma_2s(G).value
         ratio = len(approx) / gamma2s if gamma2s else None
@@ -176,13 +166,10 @@ def run_ratios(
             f"{ratio:.4f}" if ratio is not None else "",
             f"{elapsed_ms:.3f}",
         ]
-        if writer:
-            writer.writerow(row)
+        writer.writerow(row)
         rows += 1
         if ratio is not None and ratio > delta + 1:
             violations += 1
-            out.write(
-                f"FAIL ratio graph=n{G.n} ratio={ratio:.4f} bound={delta + 1}\n"
-            )
-    out.write(f"rows={rows} violations={violations}\n")
+            print(f"FAIL ratio graph=n{G.n} ratio={ratio:.4f} bound={delta + 1}")
+    print(f"rows={rows} violations={violations}")
     return rows, violations

@@ -158,7 +158,7 @@ def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
         raise DisconnectedGraphError("exact_gamma_2s requires a connected graph")
     if G.n > budget:
         raise BudgetExceededError(G.n, budget)
-    witness, examined = kernel.least_set(G.closed_masks(), kernel.TWO_SDS, 2)
+    witness, examined = kernel.least_set(G.closed_masks(), kernel.TWO_SDS)
     cert, _ = _scan_2sds(G, witness, build_certificate=True)
     assert cert is not None
     return SolveReport(
@@ -182,13 +182,14 @@ def approx_2sds(G: Graph) -> tuple[int, ...]:
     if not G.is_connected():
         raise DisconnectedGraphError("approx_2sds requires a connected graph")
     d2 = greedy_2dominating(G)
-    rest = [v for v in range(G.n) if v not in set(d2)]
+    in_d2 = set(d2)
+    rest = [v for v in range(G.n) if v not in in_d2]
     if not rest:
         return d2
     H, old_to_new = induced_subgraph(G, rest)
     new_to_old = {new: old for old, new in old_to_new.items()}
     dprime = [new_to_old[v] for v in greedy_dominating(H)]
-    return tuple(sorted(set(d2) | set(dprime)))
+    return tuple(sorted(in_d2.union(dprime)))
 
 
 def dom_set_approx(

@@ -2,6 +2,7 @@ import random
 import signal
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from secdom import (
     DisconnectedGraphError,
     GraphError,
     approx_2sds,
+    apx_gadget,
     build_graph,
     dom_set_approx,
     exact_gamma_2s,
@@ -20,6 +22,7 @@ from secdom import (
     first_failure,
     generate,
     gs_graph,
+    inapprox_gadget,
     is_dominating,
     verify_2sds,
 )
@@ -295,7 +298,8 @@ def alternating_pairs_graph(name):
 
 
 def is_2sds(masks, smask, two, three):
-    """The 2-SDS test as a level-scan `accept`, from a full defence scan."""
+    """The 2-SDS test as an `accept` of the flat reference scan, from a full
+    defence scan."""
     return _pykernel.first_undefended(masks, smask) is None
 
 
@@ -304,8 +308,8 @@ KINDS = (kernel.DOM, kernel.TWO_DOM, kernel.TWO_SDS)
 
 class TestKernelBackends:
     """The compiled kernel, built by the `compiled_kernel` fixture, against
-    the pure one: `kernel.solve_level` must return the same witness and
-    count on either backend, for every kind."""
+    the pure one: `kernel.solve_level` on the compiled kernel must return the
+    pure `witness` and its count, for every kind."""
 
     @pytest.fixture
     def compiled(self, compiled_kernel, monkeypatch):
@@ -317,8 +321,9 @@ class TestKernelBackends:
         masks = list(G.closed_masks())
         for kind in KINDS:
             for k in ks:
-                assert kernel.solve_level(masks, k, kind) == _pykernel.solve_level(
-                    masks, k, kind
+                w = _pykernel.witness(masks, k, kind)
+                assert kernel.solve_level(masks, k, kind) == (
+                    w, kernel.examined(G.n, k, w)
                 ), (G.edges, k, kind)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -368,16 +373,17 @@ class TestKernelBackends:
         with pytest.raises(ValueError):
             compiled.witness(masks, 1, kind)
         with pytest.raises(ValueError):
-            _pykernel.solve_level(masks, 1, kind)
+            _pykernel.witness(masks, 1, kind)
 
     # The count of a flat scan of the k-combinations: none for k < 0 or
     # k > n, and the empty set, once, for k = 0.
     @pytest.mark.parametrize("k", [-1, 4])
-    def test_pure_level_outside_range_examines_nothing(self, k):
+    def test_pure_level_outside_range_examines_nothing(self, k, monkeypatch):
+        monkeypatch.setattr(kernel, "_kernel", None)
         masks = list(path(3).closed_masks())
-        assert _pykernel.first_subset(masks, k) == (None, 0)
         for kind in KINDS:
-            assert _pykernel.solve_level(masks, k, kind) == (None, 0)
+            assert _pykernel.witness(masks, k, kind) is None
+            assert kernel.solve_level(masks, k, kind) == (None, 0)
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_compiled_level_outside_range_examines_nothing(self, k, compiled):
@@ -386,13 +392,15 @@ class TestKernelBackends:
             assert compiled.witness(masks, k, kind) is None
             assert kernel.solve_level(masks, k, kind) == (None, 0)
 
-    def test_pure_level_zero_examines_the_empty_set(self):
+    def test_pure_level_zero_examines_the_empty_set(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_kernel", None)
         masks = list(path(3).closed_masks())
-        assert _pykernel.first_subset(masks, 0) == (None, 1)
         for kind in KINDS:
-            assert _pykernel.solve_level(masks, 0, kind) == (None, 1)
+            assert _pykernel.witness(masks, 0, kind) is None
+            assert kernel.solve_level(masks, 0, kind) == (None, 1)
             # the empty set dominates the empty graph, and is of every kind
-            assert _pykernel.solve_level([], 0, kind) == ((), 1)
+            assert _pykernel.witness([], 0, kind) == ()
+            assert kernel.solve_level([], 0, kind) == ((), 1)
 
     def test_compiled_level_zero_examines_the_empty_set(self, compiled):
         masks = list(path(3).closed_masks())
@@ -401,25 +409,59 @@ class TestKernelBackends:
             assert kernel.solve_level(masks, 0, kind) == (None, 1)
             assert kernel.solve_level([], 0, kind) == ((), 1)
 
-    # The dom and 2dom solves of the exact-solve benchmark workload.
-    DOMINATION_SOLVES = {
-        "comb10.dom": ("comb", (10,), DOMINATING),
-        "comb11.dom": ("comb", (11,), DOMINATING),
-        "cycle22.dom": ("cycle", (22,), DOMINATING),
-        "path22.dom": ("path", (22,), DOMINATING),
-        "comb8.2dom": ("comb", (8,), TWO_DOMINATING),
-        "cycle16.2dom": ("cycle", (16,), TWO_DOMINATING),
-        "rand16.2dom": ("random-connected", (16, 0.25), TWO_DOMINATING),
+    # The solves of the exact-solve benchmark workload that fit the default
+    # budgets: name -> (graph, problem).
+    EXACT_SOLVES = {
+        "gs(K3)": (lambda: gs_graph(generate("complete", (3,))).graph, "2sds"),
+        "gs(P3)": (lambda: gs_graph(generate("path", (3,))).graph, "2sds"),
+        "inapprox(C6)": (lambda: inapprox_gadget(generate("cycle", (6,))).graph, "2sds"),
+        "inapprox(C10)": (
+            lambda: inapprox_gadget(generate("cycle", (10,))).graph, "2sds"
+        ),
+        "apx(C6)": (lambda: apx_gadget(generate("cycle", (6,))).graph, "2sds"),
+        "rand13": (lambda: generate("random-connected", (13, 0.25), seed=42), "2sds"),
+        "rand14": (lambda: generate("random-connected", (14, 0.25), seed=14), "2sds"),
+        "rand16": (lambda: generate("random-connected", (16, 0.25), seed=16), "2sds"),
+        "cycle16": (lambda: generate("cycle", (16,)), "2sds"),
+        "path16": (lambda: generate("path", (16,)), "2sds"),
+        "comb8": (lambda: generate("comb", (8,)), "2sds"),
+        "split16": (lambda: generate("random-split", (16, 0.3), seed=16), "2sds"),
+        "comb10.dom": (lambda: generate("comb", (10,)), DOMINATING),
+        "comb11.dom": (lambda: generate("comb", (11,)), DOMINATING),
+        "cycle22.dom": (lambda: generate("cycle", (22,)), DOMINATING),
+        "path22.dom": (lambda: generate("path", (22,)), DOMINATING),
+        "comb8.2dom": (lambda: generate("comb", (8,)), TWO_DOMINATING),
+        "cycle16.2dom": (lambda: generate("cycle", (16,)), TWO_DOMINATING),
+        "rand16.2dom": (
+            lambda: generate("random-connected", (16, 0.25), seed=16), TWO_DOMINATING
+        ),
     }
 
-    @pytest.mark.parametrize("name", list(DOMINATION_SOLVES))
+    @pytest.mark.parametrize("name", list(EXACT_SOLVES))
     def test_exact_minimum_agreement(self, name, compiled, monkeypatch):
-        """The same value, witness and count on either backend."""
-        family, params, kind = self.DOMINATION_SOLVES[name]
-        G = generate(family, params, seed=16)
-        on_compiled = exact_minimum(G, kind)
+        """The same report on either backend: value, witness, count and, for
+        2-SDS, certificate.  The count is that of a flat scan from the first
+        level `kernel.least_set` scans: size 2 for 2-SDS, else 0."""
+        build, problem = self.EXACT_SOLVES[name]
+        G = build()
+
+        def solve():
+            if problem == "2sds":
+                return exact_gamma_2s(G)
+            return exact_minimum(G, problem)
+
+        on_compiled = solve()
         monkeypatch.setattr(kernel, "_kernel", None)
-        assert exact_minimum(G, kind) == on_compiled
+        report = solve()
+        assert report == on_compiled
+        position = 1 + next(
+            i
+            for i, combo in enumerate(combinations(range(G.n), report.value))
+            if combo == report.witness
+        )
+        first = 2 if problem == "2sds" else 0
+        flat = sum(comb(G.n, k) for k in range(first, report.value))
+        assert report.subsets_examined == flat + position
 
     def test_long_scan_answers_a_signal(self, compiled):
         """A handler that raises (as Ctrl-C's does) stops a compiled scan
@@ -462,47 +504,24 @@ class TestLevelScan:
     @pytest.mark.parametrize(
         "graphs", [f"classes-n{n}" for n in range(1, 7)] + ["random"]
     )
-    def test_matches_flat_scan(self, graphs, predicate):
+    def test_matches_flat_scan(self, graphs, predicate, monkeypatch):
+        monkeypatch.setattr(kernel, "_kernel", None)
         accept = self.PREDICATES[predicate]
+        kind = self.KIND[predicate]
         for G in level_scan_family(graphs):
             masks = list(G.closed_masks())
             for k in range(0, G.n + 2):
                 expected = reference_first_subset(masks, k, accept)
-                got = _pykernel.first_subset(masks, k, accept)
-                assert got == expected, (G.edges, k)
-                kind = self.KIND[predicate]
-                assert _pykernel.solve_level(masks, k, kind) == expected, (G.edges, k)
-
-    @pytest.mark.parametrize(
-        "graphs", [f"classes-n{n}" for n in range(1, 7)] + ["random"]
-    )
-    def test_accept_gets_the_layers_of_each_dominating_leaf(self, graphs):
-        """`first_subset` carries (smask, two, three) down its path; at every
-        dominating leaf they must equal the flat scan's per-vertex count.
-        The recording `accept` rejects, so every leaf is reached."""
-
-        def recorder(seen):
-            def accept(masks, smask, two, three):
-                seen.append((smask, two, three))
-                return False
-
-            return accept
-
-        for G in level_scan_family(graphs):
-            masks = list(G.closed_masks())
-            for k in range(0, G.n + 2):
-                expected, got = [], []
-                reference_first_subset(masks, k, recorder(expected))
-                _pykernel.first_subset(masks, k, recorder(got))
-                assert got == expected, (G.edges, k)
+                assert kernel.solve_level(masks, k, kind) == expected, (G.edges, k)
 
     @pytest.mark.parametrize("name", ALTERNATING_PAIRS)
-    def test_solve_level_where_failing_pairs_alternate(self, name):
+    def test_solve_level_where_failing_pairs_alternate(self, name, monkeypatch):
+        monkeypatch.setattr(kernel, "_kernel", None)
         G = alternating_pairs_graph(name)
         masks = list(G.closed_masks())
         for k in range(1, G.n + 1):
             expected = reference_first_subset(masks, k, is_2sds)
-            got = _pykernel.solve_level(masks, k, kernel.TWO_SDS)
+            got = kernel.solve_level(masks, k, kernel.TWO_SDS)
             assert got == expected, (G.edges, k)
 
     def test_defence_calls_of_comb8(self, monkeypatch):
