@@ -1,7 +1,12 @@
 """Pure-Python search engine over bitmask adjacency: one level scan
-(`witness`, for dom, 2dom or 2-SDS), one per-pair defence search
-(`defenders`), and one defence scan (`first_undefended`) for the 2-SDS test
-and the verifier's certificates.
+(`witness`, for dom, 2dom or 2-SDS), one coverage primitive (`layers`), one
+per-pair defence search (`defenders`), and one defence scan
+(`first_undefended`) for the 2-SDS test and the verifier's certificates.
+
+`layers` is the coverage primitive that secure and domination share outside
+the level scan, which keeps the same `one`/`two` recurrence down its path:
+the domination checkers, the verifier, the dominating-set patch rules and the
+defence search read it on the graph's own closed-neighbourhood masks.
 
 The level scan is a depth-first search over k-subsets in lex order.  It
 covers incrementally, one OR per node, and abandons a prefix together with
@@ -152,7 +157,7 @@ def _is_2sds(
                 del failed[i]
                 failed.insert(0, pair)
             return False
-    pair = first_undefended(masks, smask, None, layered)
+    pair = first_undefended(masks, smask, layered)
     if pair is None:
         return True
     failed.insert(0, pair)
@@ -180,12 +185,12 @@ def defenders(
     u1: int,
     u2: int,
     full: int,
-    layered: Optional[tuple[int, int, int]] = None,
+    layered: tuple[int, int, int],
 ) -> Optional[tuple[int, int]]:
     """Lex-least ordered defender pair of S = `smask` against the attack
     (u1, u2), or None: distinct v1 in N[u1], v2 in N[u2], both in S, whose
     swap (S - {v1,v2}) + {u1,u2} still dominates.  `layered` is
-    `layers(masks, smask, full)`, computed here when not given.
+    `layers(masks, smask, full)`.
 
     The swap test: with out = V - (N[u1] | N[u2]), the swap dominates iff
     (zero | N[v1]&ex1 | N[v2]&ex1 | N[v1]&N[v2]&ex2) & out == 0.  Proof: the
@@ -196,7 +201,7 @@ def defenders(
     out` is nonzero has no defender, nor does a v1 with a private neighbour
     (N[v1] & ex1) in out.
     """
-    zero, ex1, ex2 = layered or layers(masks, smask, full)
+    zero, ex1, ex2 = layered
     out = full & ~(masks[u1] | masks[u2])
     if zero & out:
         return None
@@ -221,22 +226,21 @@ def defenders(
 def first_undefended(
     masks: Sequence[int],
     smask: int,
+    layered: tuple[int, int, int],
     table: Optional[dict[tuple[int, int], tuple[int, int]]] = None,
-    layered: Optional[tuple[int, int, int]] = None,
 ) -> Optional[tuple[int, int]]:
     """First attack pair (u1 < u2, lex order) that S = `smask` cannot
     defend, or None.  A dict `table` receives each defended pair's
     lex-least ordered defender pair.
 
-    The layers of S are computed once per scan (or taken from `layered`),
-    and every pair shares them: a swap of (v1, v2) for (u1, u2) dominates iff
+    `layered` is `layers(masks, smask, full)`, computed once per set by the
+    caller, and every pair shares it: a swap of (v1, v2) for (u1, u2)
+    dominates iff
     (zero | N[v1]&ex1 | N[v2]&ex1 | N[v1]&N[v2]&ex2) & ~(N[u1] | N[u2]) == 0,
     since a vertex is left undominated iff it lies outside N[u1] | N[u2]
     and its members of S are among v1 and v2 (proof in `defenders`)."""
     n = len(masks)
     full = (1 << n) - 1
-    if layered is None:
-        layered = layers(masks, smask, full)
     for u1 in range(n):
         for u2 in range(u1 + 1, n):
             pair = defenders(masks, smask, u1, u2, full, layered)

@@ -139,9 +139,7 @@ def _cmd_gadget(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.suite == "identities":
-        _, failed = experiments.run_identities(
-            max_n=args.max_n, corrupt=args.corrupt
-        )
+        _, failed = experiments.run_identities(max_n=args.max_n)
         return EXIT_OK if failed == 0 else EXIT_NEGATIVE
     csv_fh = open(args.csv, "w", newline="") if args.csv else None
     try:
@@ -212,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--p", type=float, default=0.4)
     p.add_argument("--csv", default=None)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_experiment)
     return parser
 

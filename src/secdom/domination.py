@@ -8,9 +8,10 @@ pure, as for 2-SDS), used as the oracle for all optimum comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from . import kernel
+from ._pykernel import layers
 from .graphs import Graph, check_vertex_set
 
 DOMINATING = "dominating"
@@ -40,81 +41,91 @@ class SolveReport:
     subsets_examined: int = 0
 
 
+def coverage(G: Graph, S: Iterable[int]) -> tuple[int, tuple[int, int, int]]:
+    """The mask of S and its `_pykernel.layers` (zero, ex1, ex2) on G's
+    closed masks.  S is canonicalized by `check_vertex_set` first, so
+    duplicate ids count once and an id outside G raises GraphError."""
+    smask = sum(1 << v for v in check_vertex_set(G, S))
+    return smask, layers(G.closed_masks(), smask, (1 << G.n) - 1)
+
+
 def is_dominating(G: Graph, S: Iterable[int]) -> bool:
     """True iff every vertex outside S has a neighbor in S.
 
     The empty set dominates only the empty graph.
     """
-    S = check_vertex_set(G, S)
-    masks = G.closed_masks()
-    covered = 0
-    for v in S:
-        covered |= masks[v]
-    return covered == (1 << G.n) - 1
+    _, (zero, _, _) = coverage(G, S)
+    return not zero
 
 
 def is_2dominating(G: Graph, D: Iterable[int]) -> bool:
     """True iff every vertex outside D has at least 2 neighbors inside D.
 
     Vertices inside D impose no requirement, so a leaf can only be satisfied
-    by joining D.
+    by joining D.  N[v] & D = N(v) & D for v outside D.
     """
-    D = check_vertex_set(G, D)
-    inside = set(D)
-    for v in range(G.n):
-        if v in inside:
-            continue
-        if sum(1 for w in G.adj[v] if w in inside) < 2:
-            return False
-    return True
+    dmask, (zero, ex1, _) = coverage(G, D)
+    return not (zero | ex1) & ~dmask
+
+
+def _greedy_cover(masks: Sequence[int], target: int) -> list[int]:
+    """Greedy cover of the vertex set `target` by the closed neighbourhoods
+    of its own vertices, in pick order: each round picks the vertex v of
+    `target` whose mask covers the most of `target` still uncovered, ties
+    broken by least id, until all of `target` is covered."""
+    candidates = [v for v in range(len(masks)) if target >> v & 1]
+    picked: list[int] = []
+    while target:
+        best, best_gain = -1, 0
+        for v in candidates:
+            gain = (masks[v] & target).bit_count()
+            if gain > best_gain:
+                best, best_gain = v, gain
+        picked.append(best)
+        target &= ~masks[best]
+    return picked
 
 
 def greedy_dominating(G: Graph) -> tuple[int, ...]:
     """Standard greedy cover: a vertex covers its closed neighborhood.
 
     Repeatedly picks the vertex covering the most currently-uncovered
-    vertices, ties broken by least id.  Disconnected input is allowed (the
-    2-SDS pipeline applies this to induced subgraphs).
+    vertices, ties broken by least id.  Disconnected input is allowed.  The
+    2-SDS pipeline runs the same cover loop on the vertices outside its
+    2-dominating set.
     """
-    masks = G.closed_masks()
-    full = (1 << G.n) - 1
-    covered = 0
-    picked: list[int] = []
-    while covered != full:
-        best, best_gain = -1, 0
-        for v in range(G.n):
-            gain = bin(masks[v] & ~covered).count("1")
-            if gain > best_gain:
-                best, best_gain = v, gain
-        picked.append(best)
-        covered |= masks[best]
-    return tuple(sorted(picked))
+    return tuple(sorted(_greedy_cover(G.closed_masks(), (1 << G.n) - 1)))
 
 
 def greedy_2dominating(G: Graph) -> tuple[int, ...]:
     """Set-multicover greedy for 2-domination.
 
     Every vertex outside the growing set carries a residual requirement
-    r(v), initialized to 2.  Selecting v zeroes r(v) and decrements each
-    positive neighbor residual; the pick maximizes total residual reduction
+    r(v) = max(0, 2 - |N(v) & picked|).  N[v] & picked = N(v) & picked for v
+    not picked, so r(v) is 0, 1 or 2 as v lies in `two`, in `one` only or in
+    neither: the vertices with at least two and at least one pick in their
+    closed neighbourhood.  The pick maximizes total residual reduction
     gain(v) = r(v) + #{positive-residual neighbors}, ties by least id.
     """
-    r = [2] * G.n
-    picked: set[int] = set()
-    while any(r):
+    masks = G.closed_masks()
+    full = (1 << G.n) - 1
+    picked = one = two = 0
+    pos = full  # the vertices of positive residual
+    while pos:
         best, best_gain = -1, 0
         for v in range(G.n):
-            if v in picked:
+            bit = 1 << v
+            if picked & bit:
                 continue
-            gain = r[v] + sum(1 for w in G.adj[v] if r[w] > 0)
+            residual = 0 if two & bit else 1 if one & bit else 2
+            gain = residual + (masks[v] & ~bit & pos).bit_count()
             if gain > best_gain:
                 best, best_gain = v, gain
-        picked.add(best)
-        r[best] = 0
-        for w in G.adj[best]:
-            if r[w] > 0:
-                r[w] -= 1
-    return tuple(sorted(picked))
+        picked |= 1 << best
+        two |= one & masks[best]
+        one |= masks[best]
+        pos = full & ~(picked | two)
+    return tuple(v for v in range(G.n) if picked >> v & 1)
 
 
 def exact_minimum(

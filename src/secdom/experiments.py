@@ -4,26 +4,24 @@ tables over generated instances."""
 from __future__ import annotations
 
 import csv
-import time
 from typing import TextIO
 
 from .domination import DEFAULT_DOMINATION_BUDGET, DOMINATING, exact_minimum
 from .enumgraphs import connected_graphs
 from .gadgets import apx_gadget, generate, gs_graph, inapprox_gadget
-from .graphs import Graph, build_graph
+from .graphs import Graph
 from .secure import DEFAULT_2SDS_BUDGET, approx_2sds, exact_gamma_2s, verify_2sds
 
 # `run_ratios` solves exactly only the instances with at most this many vertices.
 RATIO_EXACT_MAX_N = 9
 
 
-def run_identities(max_n: int = 4, corrupt: bool = False) -> tuple[int, int]:
+def run_identities(max_n: int = 4) -> tuple[int, int]:
     """Replay the gadget identities on all connected graphs up to
     isomorphism with at most max_n vertices.
 
     Prints one PASS/FAIL line per instance check and a summary; returns
-    (passed, failed).  `corrupt` is a harness sanity hook: it perturbs the
-    first gadget so that a detectable FAIL must be produced.
+    (passed, failed).
     """
     passed = failed = 0
 
@@ -37,7 +35,6 @@ def run_identities(max_n: int = 4, corrupt: bool = False) -> tuple[int, int]:
         status = "PASS" if ok else "FAIL"
         print(f"{status} {check} graph={label} {detail}")
 
-    first = True
     for n in range(1, max_n + 1):
         for idx, G in enumerate(connected_graphs(n, up_to_iso=True)):
             label = f"n{n}#{idx}"
@@ -45,14 +42,7 @@ def run_identities(max_n: int = 4, corrupt: bool = False) -> tuple[int, int]:
             gamma = dominating.value
 
             # w1/w2 gadget: vertex count, size bound, explicit witness
-            result = inapprox_gadget(G)
-            gadget = result.graph
-            if corrupt and first:
-                # graft a stray vertex onto w1 to break the vertex count
-                gadget = build_graph(
-                    gadget.n + 1, list(gadget.edges) + [(G.n, gadget.n)]
-                )
-                first = False
+            gadget = inapprox_gadget(G).graph
             report(
                 gadget.n == G.n + 5,
                 "inapprox-vertex-count",
@@ -136,7 +126,7 @@ def run_ratios(
     writer = csv.writer(csv_out)
     header = [
         "family", "n", "m", "delta", "gamma", "gamma2s",
-        "approx_size", "ratio", "elapsed_ms",
+        "approx_size", "ratio",
     ]
     writer.writerow(header)
     rows = violations = 0
@@ -149,9 +139,7 @@ def run_ratios(
         for size in range(low, n + 1):
             instances.append(generate(family, (size,)))
     for G in instances:
-        start = time.perf_counter()
         approx = approx_2sds(G)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
         delta = G.max_degree()
         gamma = gamma2s = None
         if G.n <= RATIO_EXACT_MAX_N:
@@ -164,7 +152,6 @@ def run_ratios(
             gamma2s if gamma2s is not None else "",
             len(approx),
             f"{ratio:.4f}" if ratio is not None else "",
-            f"{elapsed_ms:.3f}",
         ]
         writer.writerow(row)
         rows += 1

@@ -13,12 +13,13 @@ from .domination import (
     BudgetExceededError,
     DOMINATING,
     SolveReport,
+    _greedy_cover,
+    coverage,
     exact_minimum,
     greedy_2dominating,
-    greedy_dominating,
     is_dominating,
 )
-from .graphs import Graph, check_vertex_set, induced_subgraph
+from .graphs import Graph, check_vertex_set
 
 DEFAULT_2SDS_BUDGET = 16
 
@@ -92,14 +93,14 @@ def find_defenders(
     """
     if u1 == u2:
         raise ValueError("attack vertices must be distinct")
-    S = check_vertex_set(G, S)
+    # S need not dominate, so its layers are computed here
+    smask, layered = coverage(G, S)
     # closed_neighborhood checks u1 and u2 before they are used as shifts
     G.closed_neighborhood(u1)
     G.closed_neighborhood(u2)
-    smask = 0
-    for v in S:
-        smask |= 1 << v
-    return _pykernel.defenders(G.closed_masks(), smask, u1, u2, (1 << G.n) - 1)
+    return _pykernel.defenders(
+        G.closed_masks(), smask, u1, u2, (1 << G.n) - 1, layered
+    )
 
 
 def _scan_2sds(G: Graph, S, build_certificate: bool):
@@ -110,17 +111,15 @@ def _scan_2sds(G: Graph, S, build_certificate: bool):
     """
     if G.n < 2:
         raise ValueError("2-SDS verification needs at least 2 vertices")
-    S = check_vertex_set(G, S)
-    if len(S) < 2:
-        return None, ("too-small", len(S))
-    masks = G.closed_masks()
-    smask = sum(1 << v for v in S)
-    undominated = [v for v in range(G.n) if not masks[v] & smask]
-    if undominated:
-        return None, ("undominated", undominated[0])
+    smask, layered = coverage(G, S)
+    if smask.bit_count() < 2:
+        return None, ("too-small", smask.bit_count())
+    zero = layered[0]
+    if zero:
+        return None, ("undominated", (zero & -zero).bit_length() - 1)
     entries: dict[tuple[int, int], tuple[int, int]] = {}
     table = entries if build_certificate else None
-    pair = _pykernel.first_undefended(masks, smask, table)
+    pair = _pykernel.first_undefended(G.closed_masks(), smask, layered, table)
     if pair is not None:
         return None, ("pair", pair)
     return DefenseCertificate(entries=entries), None
@@ -171,8 +170,8 @@ def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
 
 
 def approx_2sds(G: Graph) -> tuple[int, ...]:
-    """Greedy 2-SDS: a greedy 2-dominating set, then a greedy dominating set
-    of the remaining induced subgraph, mapped back and unioned.
+    """Greedy 2-SDS: a greedy 2-dominating set D, then a greedy dominating
+    set of G[V - D], run on G's own masks restricted to V - D, unioned.
 
     The output always passes the verifier, within Delta(G)+1 times the
     optimum.
@@ -182,14 +181,8 @@ def approx_2sds(G: Graph) -> tuple[int, ...]:
     if not G.is_connected():
         raise DisconnectedGraphError("approx_2sds requires a connected graph")
     d2 = greedy_2dominating(G)
-    in_d2 = set(d2)
-    rest = [v for v in range(G.n) if v not in in_d2]
-    if not rest:
-        return d2
-    H, old_to_new = induced_subgraph(G, rest)
-    new_to_old = {new: old for old, new in old_to_new.items()}
-    dprime = [new_to_old[v] for v in greedy_dominating(H)]
-    return tuple(sorted(in_d2.union(dprime)))
+    rest = ((1 << G.n) - 1) & ~sum(1 << v for v in d2)
+    return tuple(sorted(d2 + tuple(_greedy_cover(G.closed_masks(), rest))))
 
 
 def dom_set_approx(
@@ -222,21 +215,11 @@ def dom_set_approx(
     s = set(approx_2sds(result.graph))
     d = sorted(v for v in s if v < n)
 
-    def uncovered() -> list[int]:
-        masks = G.closed_masks()
-        covered = 0
-        for v in d:
-            covered |= masks[v]
-        return [v for v in range(n) if not (covered >> v) & 1]
-
-    if w2 in s:
-        missing = uncovered()
-        if missing:
-            d = sorted(d + [missing[0]])
-    if w1 in s and z1 in s:
-        missing = uncovered()
-        if missing:
-            d = sorted(d + [missing[0]])
+    for patch in (w2 in s, w1 in s and z1 in s):
+        if patch:
+            _, (zero, _, _) = coverage(G, d)
+            if zero:
+                d = sorted(d + [(zero & -zero).bit_length() - 1])
     if not is_dominating(G, d):
         raise PatchInsufficientError(G, tuple(sorted(s)))
     return tuple(d)

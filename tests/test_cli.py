@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import subprocess
@@ -8,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import secdom
-from secdom import _pykernel, build_graph, cli, graph_to_text, parse_graph
+from secdom import (
+    _pykernel,
+    build_graph,
+    cli,
+    experiments,
+    graph_to_text,
+    parse_graph,
+)
 from secdom.cli import main
 from secdom.graphio import GraphParseError
 
@@ -175,9 +183,9 @@ class TestOneDefenceScan:
         tables = []
         scan = _pykernel.first_undefended
 
-        def counting(masks, smask, table=None, *rest):
+        def counting(masks, smask, layered, table=None):
             tables.append(table)
-            return scan(masks, smask, table, *rest)
+            return scan(masks, smask, layered, table)
 
         monkeypatch.setattr(_pykernel, "first_undefended", counting)
         return tables
@@ -327,23 +335,42 @@ class TestExperiment:
         assert "failed=0" in out
         assert "FAIL" not in out
 
-    def test_identities_corrupt_hook_fails(self, capsys):
-        code, out, _ = run(
-            capsys, "experiment", "identities", "--max-n", "2", "--corrupt"
-        )
+    def test_identities_corrupt_hook_fails(self, capsys, monkeypatch):
+        """A stray vertex grafted onto w1 of the first gadget must be caught."""
+        build = experiments.inapprox_gadget
+        built = []
+
+        def corrupted(G):
+            result = build(G)
+            if not built:
+                gadget = result.graph
+                stray = build_graph(
+                    gadget.n + 1, list(gadget.edges) + [(G.n, gadget.n)]
+                )
+                result = dataclasses.replace(result, graph=stray)
+            built.append(result)
+            return result
+
+        monkeypatch.setattr(experiments, "inapprox_gadget", corrupted)
+        code, out, _ = run(capsys, "experiment", "identities", "--max-n", "2")
         assert code == 1
         assert "FAIL" in out
 
     def test_ratios_csv(self, capsys, tmp_path):
-        csv_path = tmp_path / "rows.csv"
-        code, out, _ = run(
-            capsys,
-            "experiment", "ratios",
-            "--family", "random-connected",
-            "--n", "7", "--trials", "5", "--seed", "1",
-            "--csv", str(csv_path),
-        )
-        assert code == 0
-        lines = csv_path.read_text().strip().splitlines()
+        """Two runs with one seed write the same bytes."""
+        written = []
+        for name in ("rows.csv", "again.csv"):
+            csv_path = tmp_path / name
+            code, out, _ = run(
+                capsys,
+                "experiment", "ratios",
+                "--family", "random-connected",
+                "--n", "7", "--trials", "5", "--seed", "1",
+                "--csv", str(csv_path),
+            )
+            assert code == 0
+            written.append(csv_path.read_bytes())
+        lines = written[0].decode().strip().splitlines()
         assert lines[0].startswith("family,n,m,delta,gamma,gamma2s")
         assert len(lines) == 6
+        assert written[1] == written[0]

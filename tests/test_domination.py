@@ -7,6 +7,7 @@ import pytest
 from secdom import (
     BudgetExceededError,
     DOMINATING,
+    GraphError,
     TWO_DOMINATING,
     build_graph,
     exact_minimum,
@@ -15,7 +16,17 @@ from secdom import (
     is_2dominating,
     is_dominating,
 )
-from util import K3, complete, cycle, path, random_connected, star
+from secdom.enumgraphs import connected_graphs
+from util import (
+    K3,
+    complete,
+    cycle,
+    oracle_2dominating,
+    oracle_dominating,
+    path,
+    random_connected,
+    star,
+)
 
 
 class TestCheckers:
@@ -44,6 +55,39 @@ class TestCheckers:
     def test_members_impose_no_requirement(self):
         # a leaf is fine inside D even with a single neighbor
         assert is_2dominating(path(2), [0, 1])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_class_every_set(self, n):
+        for G in connected_graphs(n, up_to_iso=True):
+            for m in range(1 << n):
+                S = [v for v in range(n) if m >> v & 1]
+                assert is_dominating(G, S) == oracle_dominating(G, S), (G.edges, S)
+                assert is_2dominating(G, S) == oracle_2dominating(G, S), (G.edges, S)
+
+    @pytest.mark.parametrize("check", [is_dominating, is_2dominating])
+    @pytest.mark.parametrize(
+        "G,S",
+        [
+            (path(3), [1, 1]),
+            (path(3), [0, 0, 2]),
+            (star(3), [0, 1, 0]),
+            (cycle(5), [0, 2, 2]),
+        ],
+    )
+    def test_duplicate_ids_count_once(self, check, G, S):
+        assert check(G, S) == check(G, set(S))
+
+    def test_duplicate_centre_does_not_2dominate(self):
+        # each leaf sees the centre once, however often it is listed
+        assert not is_2dominating(path(3), [1, 1])
+        assert not is_2dominating(star(3), [0, 0, 0])
+        assert is_2dominating(path(3), [0, 2, 2])
+
+    @pytest.mark.parametrize("check", [is_dominating, is_2dominating])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_id_rejected(self, check, bad):
+        with pytest.raises(GraphError):
+            check(K3, [0, bad])
 
 
 class TestGreedyDominating:

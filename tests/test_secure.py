@@ -12,6 +12,7 @@ from secdom import (
     BudgetExceededError,
     DisconnectedGraphError,
     GraphError,
+    PatchInsufficientError,
     approx_2sds,
     apx_gadget,
     build_graph,
@@ -21,12 +22,14 @@ from secdom import (
     find_defenders,
     first_failure,
     generate,
+    greedy_2dominating,
+    greedy_dominating,
     gs_graph,
     inapprox_gadget,
     is_dominating,
     verify_2sds,
 )
-from secdom import _pykernel, kernel
+from secdom import _pykernel, kernel, secure
 from secdom.enumgraphs import connected_graphs
 from secdom.secure import DefenseCertificate
 from util import (
@@ -37,7 +40,10 @@ from util import (
     oracle_is_2sds,
     path,
     random_connected,
+    reference_approx_2sds,
     reference_first_subset,
+    reference_greedy_2dominating,
+    reference_greedy_dominating,
     seeded_connected_instances,
     star,
 )
@@ -86,10 +92,11 @@ class TestDefenceTest:
         full = (1 << G.n) - 1
         for S in subsets:
             smask = sum(1 << v for v in S)
+            layered = _pykernel.layers(masks, smask, full)
             for u1 in range(G.n):
                 for u2 in range(G.n):
                     if u1 != u2:
-                        got = _pykernel.defenders(masks, smask, u1, u2, full)
+                        got = _pykernel.defenders(masks, smask, u1, u2, full, layered)
                         want = oracle_defenders(G, S, u1, u2)
                         assert got == want, (G.edges, S, u1, u2)
 
@@ -250,6 +257,18 @@ class TestApprox2sds:
         G = random_connected(rng.randint(2, 15), 0.35, rng)
         assert verify_2sds(G, approx_2sds(G)) is not None
 
+    @pytest.mark.parametrize("n", [24, 40, 56])
+    @pytest.mark.parametrize("family", ["random-connected", "random-split"])
+    def test_matches_induced_subgraph_reference(self, family, n):
+        """The second greedy on G's masks restricted to V - D picks what the
+        greedy on the renumbered induced subgraph G[V - D] picks."""
+        p = 6 / n if family == "random-connected" else 0.3
+        for seed in range(6):
+            G = generate(family, (n, p), seed=1000 * n + seed)
+            assert approx_2sds(G) == reference_approx_2sds(G), (family, n, seed)
+            assert greedy_dominating(G) == reference_greedy_dominating(G)
+            assert greedy_2dominating(G) == reference_greedy_2dominating(G)
+
 
 class TestDomSetApprox:
     def test_p3_exact_branch(self):
@@ -271,6 +290,19 @@ class TestDomSetApprox:
         rng = random.Random(900 + seed)
         G = random_connected(rng.randint(4, 14), 0.3, rng)
         assert is_dominating(G, dom_set_approx(G, 1))
+
+    def test_patch_rules_add_least_uncovered_vertices(self, monkeypatch):
+        """With only w1, w2 and z1 of the gadget picked, each rule adds the
+        least-id vertex the set leaves undominated: 0, then 2 on P4."""
+        monkeypatch.setattr(secure, "approx_2sds", lambda H: (4, 5, 6))
+        assert dom_set_approx(path(4), 1) == (0, 2)
+
+    def test_patch_rules_falling_short_raise(self, monkeypatch):
+        # 0 and 2 leave vertex 4 of P5 undominated
+        monkeypatch.setattr(secure, "approx_2sds", lambda H: (5, 6, 7))
+        with pytest.raises(PatchInsufficientError) as info:
+            dom_set_approx(path(5), 1)
+        assert info.value.gadget_set == (5, 6, 7)
 
 
 def level_scan_family(graphs):
@@ -300,7 +332,8 @@ def alternating_pairs_graph(name):
 def is_2sds(masks, smask, two, three):
     """The 2-SDS test as an `accept` of the flat reference scan, from a full
     defence scan."""
-    return _pykernel.first_undefended(masks, smask) is None
+    layered = _pykernel.layers(masks, smask, (1 << len(masks)) - 1)
+    return _pykernel.first_undefended(masks, smask, layered) is None
 
 
 KINDS = (kernel.DOM, kernel.TWO_DOM, kernel.TWO_SDS)

@@ -1,5 +1,6 @@
 """Shared test helpers: named small graphs, seeded random instances, the
-definition-literal 2-SDS oracle and a flat reference level scan.
+definition-literal domination and 2-SDS oracles, a flat reference level scan
+and a reference Delta+1 approximation on induced subgraphs.
 
 The oracle is deliberately independent of the package internals: plain sets,
 an unpruned ordered-pair scan, and its own domination check.
@@ -8,7 +9,7 @@ an unpruned ordered-pair scan, and its own domination check.
 import random
 from itertools import combinations
 
-from secdom import build_graph
+from secdom import build_graph, induced_subgraph
 
 
 def path(n):
@@ -56,6 +57,12 @@ def seeded_connected_instances(count, max_n, seed, min_n=2):
 def oracle_dominating(G, S):
     S = set(S)
     return all(v in S or any(w in S for w in G.adj[v]) for v in range(G.n))
+
+
+def oracle_2dominating(G, D):
+    """Every vertex outside D has at least two neighbours in D."""
+    D = set(D)
+    return all(v in D or sum(w in D for w in G.adj[v]) >= 2 for v in range(G.n))
 
 
 def oracle_defenders(G, S, u1, u2):
@@ -110,3 +117,52 @@ def reference_first_subset(masks, k, accept=None):
                 continue
         return combo, examined
     return None, examined
+
+
+def reference_greedy_dominating(G):
+    """Greedy cover on plain sets: pick the vertex whose closed
+    neighbourhood covers the most uncovered vertices, least id on ties."""
+    uncovered = set(range(G.n))
+    picked = []
+    while uncovered:
+        best = max(
+            range(G.n),
+            key=lambda v: (len(uncovered & (set(G.adj[v]) | {v})), -v),
+        )
+        picked.append(best)
+        uncovered -= set(G.adj[best]) | {best}
+    return tuple(sorted(picked))
+
+
+def reference_greedy_2dominating(G):
+    """Set-multicover greedy on a residual list: r(v) starts at 2, a pick
+    zeroes its own and decrements each positive neighbour residual; the
+    pick maximizes r(v) + #{positive-residual neighbours}, least id on
+    ties."""
+    r = [2] * G.n
+    picked = set()
+    while any(r):
+        best = max(
+            (v for v in range(G.n) if v not in picked),
+            key=lambda v: (r[v] + sum(1 for w in G.adj[v] if r[w] > 0), -v),
+        )
+        picked.add(best)
+        r[best] = 0
+        for w in G.adj[best]:
+            if r[w] > 0:
+                r[w] -= 1
+    return tuple(sorted(picked))
+
+
+def reference_approx_2sds(G):
+    """The Delta+1 approximation read literally: a greedy 2-dominating set
+    D, then a greedy dominating set of the induced subgraph G[V - D], built,
+    renumbered and mapped back."""
+    d2 = reference_greedy_2dominating(G)
+    rest = [v for v in range(G.n) if v not in d2]
+    if not rest:
+        return d2
+    H, old_to_new = induced_subgraph(G, rest)
+    new_to_old = {new: old for old, new in old_to_new.items()}
+    dprime = {new_to_old[v] for v in reference_greedy_dominating(H)}
+    return tuple(sorted(set(d2) | dprime))
