@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 
 from . import experiments
 from .domination import (
-    DEFAULT_DOMINATION_BUDGET,
     BudgetExceededError,
     DOMINATING,
     TWO_DOMINATING,
@@ -24,7 +23,6 @@ from .gadgets import apx_gadget, generate, gs_graph, inapprox_gadget
 from .graphio import GraphParseError, parse_graph, write_graph, write_roles
 from .graphs import GraphError
 from .secure import (
-    DEFAULT_2SDS_BUDGET,
     DisconnectedGraphError,
     PatchInsufficientError,
     _scan_2sds,
@@ -83,14 +81,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     G = parse_graph(args.graph)
+    # a missing --budget leaves each solver its own default
+    budget = {} if args.budget is None else {"budget": args.budget}
     if args.problem == "2sds":
-        budget = DEFAULT_2SDS_BUDGET if args.budget is None else args.budget
-        report = exact_gamma_2s(G, budget=budget)
+        report = exact_gamma_2s(G, **budget)
         print(f"gamma2s={report.value}")
     else:
         kind = DOMINATING if args.problem == "dom" else TWO_DOMINATING
-        budget = DEFAULT_DOMINATION_BUDGET if args.budget is None else args.budget
-        report = exact_minimum(G, kind, budget=budget)
+        report = exact_minimum(G, kind, **budget)
         label = "gamma" if args.problem == "dom" else "gamma2"
         print(f"{label}={report.value}")
     print(f"set={_fmt_set(report.witness)}")

@@ -44,7 +44,6 @@ def parse_graph(src: Union[str, TextIO]) -> Graph:
         with open(src) as fh:
             return parse_graph(fh)
     header = None
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(src, start=1):
         line = raw.strip()
@@ -78,14 +77,13 @@ def parse_graph(src: Union[str, TextIO]) -> Graph:
         if key in seen:
             raise GraphParseError(f"line {lineno}: duplicate edge ({u},{v})")
         seen.add(key)
-        edges.append(key)
     if header is None:
         raise GraphParseError("line 1: missing header")
-    if len(edges) != header[1]:
+    if len(seen) != header[1]:
         raise GraphParseError(
-            f"header announces {header[1]} edges but body has {len(edges)}"
+            f"header announces {header[1]} edges but body has {len(seen)}"
         )
-    return build_graph(header[0], edges)
+    return build_graph(header[0], seen)
 
 
 def write_roles(result: GadgetResult, out: Union[str, TextIO]) -> None:

@@ -1,7 +1,10 @@
 """Immutable simple undirected graphs and the structural primitives built on them.
 
 Vertices are dense 0-based integers; anything with external labels lives in the
-CLI layer.  All functions here are pure and safe to call from multiple threads.
+CLI layer.  A graph has one adjacency representation: the closed-neighbourhood
+bitmask N[v] of each vertex, bit w set iff w == v or vw is an edge.  The
+queries here, the solvers and the checkers all read those masks.  All
+functions here are pure and safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ class GraphError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Immutable after construction.  Neighbor lists are kept sorted so that
-    every downstream computation is deterministic.
+    Immutable after construction.  It holds the canonical sorted edge tuple
+    and one adjacency, the N[v] bitmask of each vertex, built once from the
+    edges; every query reads those masks.
     """
 
-    __slots__ = ("n", "edges", "adj", "_masks")
+    __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -34,67 +38,51 @@ class Graph:
             canon.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = tuple(sorted(canon))
-        nbrs: list[list[int]] = [[] for _ in range(n)]
+        masks = [1 << v for v in range(n)]
         for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in nbrs)
-        self._masks: Optional[tuple[int, ...]] = None
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._masks = tuple(masks)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self.adj[v])
+        return self._masks[v].bit_count() - 1
 
     def closed_neighborhood(self, v: int) -> tuple[int, ...]:
         """N[v] = N(v) + v itself, sorted ascending."""
         self._check_vertex(v)
-        return tuple(sorted(self.adj[v] + (v,)))
+        mask = self._masks[v]
+        return tuple(w for w in range(self.n) if mask >> w & 1)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self.adj[u]
+        return u != v and self._masks[u] >> v & 1 == 1
 
     def max_degree(self) -> int:
         if self.n == 0:
             raise GraphError("max_degree of the empty graph is undefined")
-        return max(len(a) for a in self.adj)
+        return max(m.bit_count() for m in self._masks) - 1
 
     def is_connected(self) -> bool:
-        """True iff a traversal from vertex 0 reaches every vertex."""
-        if self.n <= 1:
+        """True iff a flood fill of the masks from vertex 0 reaches every vertex."""
+        if self.n == 0:
             return True
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        seen = frontier = 1
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = self._masks[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        return seen == (1 << self.n) - 1
 
     def closed_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of N[v]; the currency of the solver kernels."""
-        if self._masks is None:
-            masks = []
-            for v in range(self.n):
-                m = 1 << v
-                for w in self.adj[v]:
-                    m |= 1 << w
-                masks.append(m)
-            self._masks = tuple(masks)
         return self._masks
 
     def _check_vertex(self, v: int) -> None:

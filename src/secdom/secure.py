@@ -95,9 +95,7 @@ def find_defenders(
         raise ValueError("attack vertices must be distinct")
     # S need not dominate, so its layers are computed here
     smask, layered = coverage(G, S)
-    # closed_neighborhood checks u1 and u2 before they are used as shifts
-    G.closed_neighborhood(u1)
-    G.closed_neighborhood(u2)
+    check_vertex_set(G, (u1, u2))
     return _pykernel.defenders(
         G.closed_masks(), smask, u1, u2, (1 << G.n) - 1, layered
     )

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secdom import (
@@ -10,7 +10,7 @@ from secdom import (
     induced_subgraph,
 )
 from secdom.enumgraphs import connected_graphs
-from util import K1, K3, complete, cycle, path, star
+from util import K1, K3, complete, cycle, open_neighbourhoods, path, star
 
 
 def small_graphs():
@@ -46,10 +46,37 @@ class TestBuildGraph:
 
     def test_adjacency_sorted_and_symmetric(self):
         G = build_graph(4, [(3, 0), (2, 0), (1, 0)])
-        assert G.adj[0] == (1, 2, 3)
+        assert G.closed_neighborhood(0) == (0, 1, 2, 3)
         for u in range(4):
-            for v in G.adj[u]:
-                assert u in G.adj[v]
+            for v in G.closed_neighborhood(u):
+                assert u in G.closed_neighborhood(v)
+
+
+class TestMaskQueries:
+    @given(small_graphs())
+    @example(build_graph(0, []))
+    def test_match_literal_edge_reading(self, G):
+        """Every mask-based query against plain sets read from G.edges and a
+        plain-set BFS from vertex 0, disconnected graphs and n = 0 included."""
+        nbrs = open_neighbourhoods(G)
+        closed = [sorted(nbrs[v] | {v}) for v in range(G.n)]
+        assert G.closed_masks() == tuple(sum(1 << w for w in c) for c in closed)
+        for v in range(G.n):
+            assert G.degree(v) == len(nbrs[v])
+            assert G.closed_neighborhood(v) == tuple(closed[v])
+            for w in range(G.n):
+                assert G.has_edge(v, w) == (w in nbrs[v])
+        if G.n == 0:
+            with pytest.raises(GraphError):
+                G.max_degree()
+        else:
+            assert G.max_degree() == max(len(a) for a in nbrs)
+        reached = {0} if G.n else set()
+        frontier = set(reached)
+        while frontier:
+            frontier = {w for v in frontier for w in nbrs[v]} - reached
+            reached |= frontier
+        assert G.is_connected() == (len(reached) == G.n)
 
 
 class TestNeighborhoods:
@@ -160,7 +187,7 @@ def literal_peel(G):
     while there is one.  The removal order, or None if a vertex stays."""
 
     def closed_in(alive, v):
-        return {v} | (set(G.adj[v]) & alive)
+        return {v} | (open_neighbourhoods(G)[v] & alive)
 
     def doubly_simplicial(alive, v):
         closed = closed_in(alive, v)

@@ -2,11 +2,13 @@
 definition-literal domination and 2-SDS oracles, a flat reference level scan
 and a reference Delta+1 approximation on induced subgraphs.
 
-The oracle is deliberately independent of the package internals: plain sets,
-an unpruned ordered-pair scan, and its own domination check.
+The oracle is deliberately independent of the package internals: plain sets
+read from `G.edges` (never the masks it checks), an unpruned ordered-pair
+scan, and its own domination check.
 """
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 from secdom import build_graph, induced_subgraph
@@ -54,15 +56,27 @@ def seeded_connected_instances(count, max_n, seed, min_n=2):
     return out
 
 
+@lru_cache(maxsize=256)
+def open_neighbourhoods(G):
+    """N(v) of every vertex as a frozenset, read literally from `G.edges`."""
+    nbrs = [set() for _ in range(G.n)]
+    for u, v in G.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return tuple(frozenset(a) for a in nbrs)
+
+
 def oracle_dominating(G, S):
     S = set(S)
-    return all(v in S or any(w in S for w in G.adj[v]) for v in range(G.n))
+    nbrs = open_neighbourhoods(G)
+    return all(v in S or not nbrs[v].isdisjoint(S) for v in range(G.n))
 
 
 def oracle_2dominating(G, D):
     """Every vertex outside D has at least two neighbours in D."""
     D = set(D)
-    return all(v in D or sum(w in D for w in G.adj[v]) >= 2 for v in range(G.n))
+    nbrs = open_neighbourhoods(G)
+    return all(v in D or len(nbrs[v] & D) >= 2 for v in range(G.n))
 
 
 def oracle_defenders(G, S, u1, u2):
@@ -70,8 +84,9 @@ def oracle_defenders(G, S, u1, u2):
     (v1, v2) of distinct members of S, v1 in N[u1] and v2 in N[u2], whose
     swap (S - {v1,v2}) + {u1,u2} dominates, or None."""
     S = set(S)
-    closed1 = set(G.adj[u1]) | {u1}
-    closed2 = set(G.adj[u2]) | {u2}
+    nbrs = open_neighbourhoods(G)
+    closed1 = nbrs[u1] | {u1}
+    closed2 = nbrs[u2] | {u2}
     for v1 in sorted(closed1 & S):
         for v2 in sorted(closed2 & S):
             if v1 != v2 and oracle_dominating(G, (S - {v1, v2}) | {u1, u2}):
@@ -122,15 +137,16 @@ def reference_first_subset(masks, k, accept=None):
 def reference_greedy_dominating(G):
     """Greedy cover on plain sets: pick the vertex whose closed
     neighbourhood covers the most uncovered vertices, least id on ties."""
+    nbrs = open_neighbourhoods(G)
     uncovered = set(range(G.n))
     picked = []
     while uncovered:
         best = max(
             range(G.n),
-            key=lambda v: (len(uncovered & (set(G.adj[v]) | {v})), -v),
+            key=lambda v: (len(uncovered & (nbrs[v] | {v})), -v),
         )
         picked.append(best)
-        uncovered -= set(G.adj[best]) | {best}
+        uncovered -= nbrs[best] | {best}
     return tuple(sorted(picked))
 
 
@@ -139,16 +155,17 @@ def reference_greedy_2dominating(G):
     zeroes its own and decrements each positive neighbour residual; the
     pick maximizes r(v) + #{positive-residual neighbours}, least id on
     ties."""
+    nbrs = open_neighbourhoods(G)
     r = [2] * G.n
     picked = set()
     while any(r):
         best = max(
             (v for v in range(G.n) if v not in picked),
-            key=lambda v: (r[v] + sum(1 for w in G.adj[v] if r[w] > 0), -v),
+            key=lambda v: (r[v] + sum(1 for w in nbrs[v] if r[w] > 0), -v),
         )
         picked.add(best)
         r[best] = 0
-        for w in G.adj[best]:
+        for w in nbrs[best]:
             if r[w] > 0:
                 r[w] -= 1
     return tuple(sorted(picked))
