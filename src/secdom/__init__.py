@@ -32,7 +32,6 @@ from .kernel import BACKEND as KERNEL_BACKEND
 from .secure import (
     DefenseCertificate,
     DisconnectedGraphError,
-    PatchInsufficientError,
     approx_2sds,
     dom_set_approx,
     exact_gamma_2s,
@@ -53,7 +52,6 @@ __all__ = [
     "GraphError",
     "GraphParseError",
     "KERNEL_BACKEND",
-    "PatchInsufficientError",
     "SolveReport",
     "TWO_DOMINATING",
     "approx_2sds",

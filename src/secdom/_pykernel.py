@@ -5,8 +5,8 @@ per-pair defence search (`defenders`), and one defence scan
 
 `layers` is the coverage primitive that secure and domination share outside
 the level scan, which keeps the same `one`/`two` recurrence down its path:
-the domination checkers, the verifier, the dominating-set patch rules and the
-defence search read it on the graph's own closed-neighbourhood masks.
+the domination checkers, the verifier and the defence search read it on the
+graph's own closed-neighbourhood masks.
 
 The level scan is a depth-first search over k-subsets in lex order.  It
 covers incrementally, one OR per node, and abandons a prefix together with

@@ -20,11 +20,9 @@ from .domination import (
     greedy_dominating,
 )
 from .gadgets import apx_gadget, generate, gs_graph, inapprox_gadget
-from .graphio import GraphParseError, parse_graph, write_graph, write_roles
+from .graphio import parse_graph, write_graph, write_roles
 from .graphs import GraphError
 from .secure import (
-    DisconnectedGraphError,
-    PatchInsufficientError,
     _scan_2sds,
     approx_2sds,
     dom_set_approx,
@@ -227,12 +225,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GraphParseError, GraphError, DisconnectedGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PatchInsufficientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

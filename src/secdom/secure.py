@@ -1,6 +1,6 @@
 """2-secure domination: certificate verifier, exact solver, and the two
 approximation pipelines (the greedy 2-SDS algorithm and the derived
-dominating-set approximation with its patch rules)."""
+dominating-set approximation)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from typing import Optional
 
 from . import _pykernel, kernel
 from .domination import (
-    DEFAULT_DOMINATION_BUDGET,
     BudgetExceededError,
     DOMINATING,
     SolveReport,
@@ -17,8 +16,8 @@ from .domination import (
     coverage,
     exact_minimum,
     greedy_2dominating,
-    is_dominating,
 )
+from .gadgets import inapprox_gadget
 from .graphs import Graph, check_vertex_set
 
 DEFAULT_2SDS_BUDGET = 16
@@ -26,19 +25,6 @@ DEFAULT_2SDS_BUDGET = 16
 
 class DisconnectedGraphError(ValueError):
     """Solver entry points require connected input."""
-
-
-class PatchInsufficientError(RuntimeError):
-    """The two patch rules of the dominating-set approximation did not
-    restore domination; carries the instance and the gadget solution."""
-
-    def __init__(self, G: Graph, gadget_set: tuple[int, ...]):
-        super().__init__(
-            "patch rules left the returned set non-dominating; "
-            f"instance n={G.n} m={G.m}, gadget set {gadget_set}"
-        )
-        self.G = G
-        self.gadget_set = gadget_set
 
 
 @dataclass(frozen=True)
@@ -183,41 +169,32 @@ def approx_2sds(G: Graph) -> tuple[int, ...]:
     return tuple(sorted(d2 + tuple(_greedy_cover(G.closed_masks(), rest))))
 
 
-def dom_set_approx(
-    G: Graph,
-    k: int,
-    budget: int = DEFAULT_DOMINATION_BUDGET,
-) -> tuple[int, ...]:
+def dom_set_approx(G: Graph, k: int) -> tuple[int, ...]:
     """Dominating-set approximation built on the 2-SDS pipeline.
 
     If an exact dominating set of size at most k exists, return it.
-    Otherwise run the greedy 2-SDS algorithm on the inapproximability gadget,
-    intersect with the original vertices, and apply the two patch rules (each
-    adds at most the least-id uncovered vertex).  A final domination
-    assertion guards soundness; its failure raises PatchInsufficientError.
-    """
-    from .gadgets import inapprox_gadget  # local import: gadgets uses secure-free deps
+    Otherwise run the greedy 2-SDS algorithm on the inapproximability gadget
+    G' and return its set S' restricted to V, which always dominates G:
 
+    - The gadget branch runs only when gamma(G) > k >= 1, so no vertex of G
+      is universal: deg_G(v) <= n - 2 for every v in V.
+    - `greedy_2dominating(G')` scores a vertex as its residual plus its
+      neighbours of positive residual, ties to the least id.  In round 1,
+      w1 = n and w2 = n + 1 score n + 3, a vertex of V at most n + 2 and
+      z1, z2, z3 score 3, 4, 3, so w1 is picked.  In round 2, w2 scores
+      n + 3, a vertex of V at most n and each z at most 4, so w2 is picked.
+    - The cover phase covers each x of rest = V' - D with a vertex of
+      rest in N[x].  For x in V that vertex lies in V, since w1 and w2 are
+      in D.  So each vertex of V is in D or is covered from V, and S'
+      restricted to V dominates G.
+    """
     if G.n < 1:
         raise ValueError("dom_set_approx needs at least one vertex")
     if not G.is_connected():
         raise DisconnectedGraphError("dom_set_approx requires a connected graph")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    report = exact_minimum(G, DOMINATING, budget=budget)
+    report = exact_minimum(G, DOMINATING)
     if report.value <= k:
         return report.witness
-    result = inapprox_gadget(G)
-    n = G.n
-    w1, w2, z1 = n, n + 1, n + 2
-    s = set(approx_2sds(result.graph))
-    d = sorted(v for v in s if v < n)
-
-    for patch in (w2 in s, w1 in s and z1 in s):
-        if patch:
-            _, (zero, _, _) = coverage(G, d)
-            if zero:
-                d = sorted(d + [(zero & -zero).bit_length() - 1])
-    if not is_dominating(G, d):
-        raise PatchInsufficientError(G, tuple(sorted(s)))
-    return tuple(d)
+    return tuple(v for v in approx_2sds(inapprox_gadget(G).graph) if v < G.n)

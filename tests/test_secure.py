@@ -12,7 +12,6 @@ from secdom import (
     BudgetExceededError,
     DisconnectedGraphError,
     GraphError,
-    PatchInsufficientError,
     approx_2sds,
     apx_gadget,
     build_graph,
@@ -29,7 +28,7 @@ from secdom import (
     is_dominating,
     verify_2sds,
 )
-from secdom import _pykernel, kernel, secure
+from secdom import _pykernel, kernel
 from secdom.enumgraphs import connected_graphs
 from secdom.secure import DefenseCertificate
 from util import (
@@ -37,6 +36,7 @@ from util import (
     complete,
     cycle,
     oracle_defenders,
+    oracle_dominating,
     oracle_is_2sds,
     path,
     random_connected,
@@ -57,8 +57,6 @@ class TestFindDefenders:
         assert find_defenders(star(3), [0, 1], 2, 3) is None
 
     def test_full_set_always_defendable_and_lex_least(self):
-        from util import oracle_dominating
-
         G = random_connected(6, 0.5, random.Random(3))
         S = set(range(G.n))
         expected = min(
@@ -291,18 +289,27 @@ class TestDomSetApprox:
         G = random_connected(rng.randint(4, 14), 0.3, rng)
         assert is_dominating(G, dom_set_approx(G, 1))
 
-    def test_patch_rules_add_least_uncovered_vertices(self, monkeypatch):
-        """With only w1, w2 and z1 of the gadget picked, each rule adds the
-        least-id vertex the set leaves undominated: 0, then 2 on P4."""
-        monkeypatch.setattr(secure, "approx_2sds", lambda H: (4, 5, 6))
-        assert dom_set_approx(path(4), 1) == (0, 2)
-
-    def test_patch_rules_falling_short_raise(self, monkeypatch):
-        # 0 and 2 leave vertex 4 of P5 undominated
-        monkeypatch.setattr(secure, "approx_2sds", lambda H: (5, 6, 7))
-        with pytest.raises(PatchInsufficientError) as info:
-            dom_set_approx(path(5), 1)
-        assert info.value.gadget_set == (5, 6, 7)
+    @pytest.mark.parametrize(
+        "family,count", [("classes-n2-7", 787), ("seeded-n4-24", 54)]
+    )
+    def test_gadget_branch_is_the_gadget_2sds_on_v(self, family, count):
+        """On every graph with gamma(G) >= 2, the greedy 2-dominating set of
+        the gadget G' holds w1 = n and w2 = n + 1, and dom_set_approx(G, 1) is
+        approx_2sds(G') restricted to V, which dominates G."""
+        if family == "classes-n2-7":
+            graphs = [
+                G for n in range(2, 8) for G in connected_graphs(n, up_to_iso=True)
+            ]
+        else:
+            graphs = seeded_connected_instances(60, 24, seed=1300, min_n=4)
+        graphs = [G for G in graphs if exact_minimum(G, DOMINATING).value >= 2]
+        assert len(graphs) == count
+        for G in graphs:
+            H = inapprox_gadget(G).graph
+            assert {G.n, G.n + 1} <= set(greedy_2dominating(H)), G.edges
+            D = dom_set_approx(G, 1)
+            assert D == tuple(v for v in approx_2sds(H) if v < G.n), G.edges
+            assert oracle_dominating(G, D), G.edges
 
 
 def level_scan_family(graphs):
