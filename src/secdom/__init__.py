@@ -20,14 +20,7 @@ from .domination import (
 )
 from .gadgets import GadgetResult, apx_gadget, generate, gs_graph, inapprox_gadget
 from .graphio import GraphParseError, graph_to_text, parse_graph, write_graph
-from .graphs import (
-    Graph,
-    GraphError,
-    build_graph,
-    find_dpeo,
-    has_maximum_neighbor,
-    induced_subgraph,
-)
+from .graphs import Graph, GraphError, build_graph, find_dpeo, has_maximum_neighbor
 from .kernel import BACKEND as KERNEL_BACKEND
 from .secure import (
     DefenseCertificate,
@@ -70,7 +63,6 @@ __all__ = [
     "gs_graph",
     "has_maximum_neighbor",
     "inapprox_gadget",
-    "induced_subgraph",
     "is_2dominating",
     "is_dominating",
     "parse_graph",

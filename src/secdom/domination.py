@@ -34,7 +34,6 @@ class BudgetExceededError(RuntimeError):
 class SolveReport:
     """Outcome of an exact solve: optimum value, witness, search statistics."""
 
-    problem: str
     value: int
     witness: tuple[int, ...]
     certificate: Optional[Any] = None
@@ -146,5 +145,5 @@ def exact_minimum(
         raise BudgetExceededError(G.n, budget)
     witness, examined = kernel.least_set(G.closed_masks(), KINDS[kind])
     return SolveReport(
-        problem=kind, value=len(witness), witness=witness, subsets_examined=examined
+        value=len(witness), witness=witness, subsets_examined=examined
     )

@@ -119,25 +119,6 @@ def check_vertex_set(G: Graph, S: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def induced_subgraph(
-    G: Graph, keep: Sequence[int]
-) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on `keep`, renumbered contiguously.
-
-    Returns the subgraph and the old->new index map (invertible).
-    """
-    kept = check_vertex_set(G, keep)
-    if not kept:
-        raise GraphError("induced subgraph on an empty vertex set")
-    old_to_new = {old: new for new, old in enumerate(kept)}
-    edges = [
-        (old_to_new[u], old_to_new[v])
-        for u, v in G.edges
-        if u in old_to_new and v in old_to_new
-    ]
-    return Graph(len(kept), edges), old_to_new
-
-
 def _maximum_neighbor(masks: Sequence[int], alive: int, v: int) -> Optional[int]:
     """Least u in N[v] whose closed neighborhood contains N[w] for all w in
     N[v], in the subgraph induced by the vertices of the mask `alive`."""

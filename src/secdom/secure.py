@@ -10,11 +10,9 @@ from typing import Optional
 from . import _pykernel, kernel
 from .domination import (
     BudgetExceededError,
-    DOMINATING,
     SolveReport,
     _greedy_cover,
     coverage,
-    exact_minimum,
     greedy_2dominating,
 )
 from .gadgets import inapprox_gadget
@@ -145,7 +143,6 @@ def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
     cert, _ = _scan_2sds(G, witness, build_certificate=True)
     assert cert is not None
     return SolveReport(
-        problem="2sds",
         value=len(witness),
         witness=witness,
         certificate=cert,
@@ -172,9 +169,12 @@ def approx_2sds(G: Graph) -> tuple[int, ...]:
 def dom_set_approx(G: Graph, k: int) -> tuple[int, ...]:
     """Dominating-set approximation built on the 2-SDS pipeline.
 
-    If an exact dominating set of size at most k exists, return it.
-    Otherwise run the greedy 2-SDS algorithm on the inapproximability gadget
-    G' and return its set S' restricted to V, which always dominates G:
+    If a dominating set of size at most k exists, return the lex-least
+    smallest one, the set `kernel.least_set` returns.  The level scan runs
+    on every size from 1 up to min(k, gamma(G)), so it examines at most
+    sum over j <= k of C(n, j) combinations; no budget applies.  Otherwise
+    run the greedy 2-SDS algorithm on the inapproximability gadget G' and
+    return its set S' restricted to V, which always dominates G:
 
     - The gadget branch runs only when gamma(G) > k >= 1, so no vertex of G
       is universal: deg_G(v) <= n - 2 for every v in V.
@@ -194,7 +194,9 @@ def dom_set_approx(G: Graph, k: int) -> tuple[int, ...]:
         raise DisconnectedGraphError("dom_set_approx requires a connected graph")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    report = exact_minimum(G, DOMINATING)
-    if report.value <= k:
-        return report.witness
+    masks = G.closed_masks()
+    for size in range(1, min(k, G.n) + 1):
+        witness, _ = kernel.solve_level(masks, size, kernel.DOM)
+        if witness is not None:
+            return witness
     return tuple(v for v in approx_2sds(inapprox_gadget(G).graph) if v < G.n)

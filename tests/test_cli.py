@@ -294,6 +294,15 @@ class TestApprox:
         assert code == 0
         assert "set=1" in out
 
+    def test_dom_set_approx_past_the_exact_budget(self, capsys, tmp_path):
+        f = tmp_path / "p30.txt"
+        f.write_text(graph_to_text(build_graph(30, [(i, i + 1) for i in range(29)])))
+        code, out, _ = run(
+            capsys, "approx", str(f), "--algorithm", "dom-set-approx", "-k", "1"
+        )
+        assert code == 0
+        assert "algorithm=dom-set-approx" in out
+
     def test_disconnected_rejected(self, capsys, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("4 2\n0 1\n2 3\n")

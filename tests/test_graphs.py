@@ -2,13 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secdom import (
-    GraphError,
-    build_graph,
-    find_dpeo,
-    has_maximum_neighbor,
-    induced_subgraph,
-)
+from secdom import GraphError, build_graph, find_dpeo, has_maximum_neighbor
 from secdom.enumgraphs import connected_graphs
 from util import K1, K3, complete, cycle, open_neighbourhoods, path, star
 
@@ -113,35 +107,6 @@ class TestConnectivityAndDegree:
         assert star(3).max_degree() == 3
         assert cycle(5).max_degree() == 2
         assert complete(4).max_degree() == 3
-
-
-class TestInducedSubgraph:
-    def test_c4_minus_vertex_is_p3(self):
-        H, mapping = induced_subgraph(cycle(4), [0, 1, 2])
-        assert H.edges == ((0, 1), (1, 2))
-        assert mapping == {0: 0, 1: 1, 2: 2}
-
-    def test_identity(self):
-        G = complete(4)
-        H, mapping = induced_subgraph(G, range(4))
-        assert H == G
-        assert mapping == {v: v for v in range(4)}
-
-    def test_k4_two_vertices(self):
-        H, mapping = induced_subgraph(complete(4), [0, 3])
-        assert H.n == 2
-        assert H.edges == ((0, 1),)
-        assert mapping == {0: 0, 3: 1}
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(GraphError):
-            induced_subgraph(K3, [])
-
-    @given(small_graphs())
-    def test_full_keep_roundtrip(self, G):
-        H, mapping = induced_subgraph(G, range(G.n))
-        assert H.edges == G.edges
-        assert all(mapping[v] == v for v in range(G.n))
 
 
 class TestMaximumNeighbor:

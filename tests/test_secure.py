@@ -311,6 +311,42 @@ class TestDomSetApprox:
             assert D == tuple(v for v in approx_2sds(H) if v < G.n), G.edges
             assert oracle_dominating(G, D), G.edges
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "name", ["path30", "comb15", "cycle40", "random-connected56"]
+    )
+    def test_dominates_past_the_exact_budget(self, name, k):
+        """The exact step scans only the sizes up to k, so graphs over the
+        24-vertex domination budget get a dominating set."""
+        if name == "random-connected56":
+            G = generate("random-connected", (56, 6 / 56), seed=56)
+        else:
+            family = name.rstrip("0123456789")
+            G = generate(family, (int(name[len(family):]),))
+        assert G.n >= 30
+        assert oracle_dominating(G, dom_set_approx(G, k)), (name, k)
+
+    def test_star30_exact_branch(self):
+        assert dom_set_approx(star(30), 1) == (0,)
+
+    def test_matches_exact_witness_or_gadget_reference(self):
+        """On every class with n <= 7 and k = 1, 2, 3: the lex-least minimum
+        dominating set when gamma(G) <= k, else the gadget's greedy 2-SDS
+        restricted to V."""
+        graphs = [
+            G for n in range(1, 8) for G in connected_graphs(n, up_to_iso=True)
+        ]
+        assert len(graphs) == 996
+        for G in graphs:
+            exact = exact_minimum(G, DOMINATING).witness
+            for k in (1, 2, 3):
+                if len(exact) <= k:
+                    expected = exact
+                else:
+                    H = inapprox_gadget(G).graph
+                    expected = tuple(v for v in approx_2sds(H) if v < G.n)
+                assert dom_set_approx(G, k) == expected, (G.edges, k)
+
 
 def level_scan_family(graphs):
     """The graphs of a level-scan family: every connected graph on n vertices
@@ -336,7 +372,7 @@ def alternating_pairs_graph(name):
     return generate(family, (int(name[len(family):]),))
 
 
-def is_2sds(masks, smask, two, three):
+def is_2sds(masks, smask):
     """The 2-SDS test as an `accept` of the flat reference scan, from a full
     defence scan."""
     layered = _pykernel.layers(masks, smask, (1 << len(masks)) - 1)
@@ -532,7 +568,7 @@ class TestLevelScan:
 
     PREDICATES = {
         "dom": None,
-        "2dom": lambda masks, smask, two, three: all(
+        "2dom": lambda masks, smask: all(
             smask >> v & 1 or (m & smask).bit_count() >= 2
             for v, m in enumerate(masks)
         ),

@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from secdom import build_graph, induced_subgraph
+from secdom import build_graph
 
 
 def path(n):
@@ -109,10 +109,8 @@ def oracle_is_2sds(G, S):
 
 def reference_first_subset(masks, k, accept=None):
     """Flat level scan: every k-combination in lex order, the first that
-    dominates and passes `accept(masks, smask, two, three)`, with the
-    combinations examined up to and including it.  `two` and `three` are
-    the vertices whose closed neighbourhood holds at least two and at least
-    three members of the combination, counted per vertex."""
+    dominates and passes `accept(masks, smask)`, with the combinations
+    examined up to and including it."""
     n = len(masks)
     full = (1 << n) - 1
     examined = 0
@@ -124,12 +122,8 @@ def reference_first_subset(masks, k, accept=None):
             covered |= masks[v]
         if covered != full:
             continue
-        if accept is not None:
-            counts = [(masks[w] & smask).bit_count() for w in range(n)]
-            two = sum(1 << w for w in range(n) if counts[w] >= 2)
-            three = sum(1 << w for w in range(n) if counts[w] >= 3)
-            if not accept(masks, smask, two, three):
-                continue
+        if accept is not None and not accept(masks, smask):
+            continue
         return combo, examined
     return None, examined
 
@@ -179,7 +173,14 @@ def reference_approx_2sds(G):
     rest = [v for v in range(G.n) if v not in d2]
     if not rest:
         return d2
-    H, old_to_new = induced_subgraph(G, rest)
-    new_to_old = {new: old for old, new in old_to_new.items()}
-    dprime = {new_to_old[v] for v in reference_greedy_dominating(H)}
+    old_to_new = {old: new for new, old in enumerate(rest)}
+    H = build_graph(
+        len(rest),
+        [
+            (old_to_new[u], old_to_new[v])
+            for u, v in G.edges
+            if u in old_to_new and v in old_to_new
+        ],
+    )
+    dprime = {rest[v] for v in reference_greedy_dominating(H)}
     return tuple(sorted(set(d2) | dprime))
