@@ -7,6 +7,7 @@ FAIL), 2 input error, 3 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional, Sequence
 
@@ -137,19 +138,19 @@ def _cmd_experiment(args) -> int:
     if args.suite == "identities":
         _, failed = experiments.run_identities(max_n=args.max_n)
         return EXIT_OK if failed == 0 else EXIT_NEGATIVE
-    csv_fh = open(args.csv, "w", newline="") if args.csv else None
-    try:
+    with (
+        open(args.csv, "w", newline="")
+        if args.csv
+        else contextlib.nullcontext(sys.stdout)
+    ) as out:
         _, violations = experiments.run_ratios(
             family=args.family,
             n=args.n,
             trials=args.trials,
             seed=args.seed,
             p=args.p,
-            csv_out=csv_fh if csv_fh else sys.stdout,
+            csv_out=out,
         )
-    finally:
-        if csv_fh:
-            csv_fh.close()
     return EXIT_OK if violations == 0 else EXIT_NEGATIVE
 
 

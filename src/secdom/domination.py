@@ -67,21 +67,32 @@ def is_2dominating(G: Graph, D: Iterable[int]) -> bool:
     return not (zero | ex1) & ~dmask
 
 
-def _greedy_cover(masks: Sequence[int], target: int) -> list[int]:
-    """Greedy cover of the vertex set `target` by the closed neighbourhoods
-    of its own vertices, in pick order: each round picks the vertex v of
-    `target` whose mask covers the most of `target` still uncovered, ties
-    broken by least id, until all of `target` is covered."""
-    candidates = [v for v in range(len(masks)) if target >> v & 1]
+def _greedy_cover(masks: Sequence[int], need1: int, need2: int) -> list[int]:
+    """Greedy set multicover by closed neighbourhoods, in pick order.
+
+    A vertex of `need2` still needs two picks in its closed neighbourhood,
+    a vertex of `need1` only one (need2 is a subset of need1), and any
+    other vertex, or a picked one, none.  The candidates are the starting
+    `need1` less the picks.  The gain of v is its cut of the total residual,
+    r(v) + #{w in N(v) : r(w) > 0} = `(masks[v] & need1).bit_count() +
+    (need2 >> v & 1)`, ties to the least id.  Picking b, nb = masks[b], sets
+    `need1 = (need1 & ~nb | need2 & nb) & ~(1 << b)` and `need2 &= ~nb`,
+    exactly: a neighbour that needed two now needs one, a neighbour that
+    needed one is done, and b needs none.
+    """
+    candidates = [v for v in range(len(masks)) if need1 >> v & 1]
     picked: list[int] = []
-    while target:
+    while need1:
         best, best_gain = -1, 0
         for v in candidates:
-            gain = (masks[v] & target).bit_count()
+            gain = (masks[v] & need1).bit_count() + (need2 >> v & 1)
             if gain > best_gain:
                 best, best_gain = v, gain
         picked.append(best)
-        target &= ~masks[best]
+        candidates.remove(best)
+        nb = masks[best]
+        need1 = (need1 & ~nb | need2 & nb) & ~(1 << best)
+        need2 &= ~nb
     return picked
 
 
@@ -93,38 +104,20 @@ def greedy_dominating(G: Graph) -> tuple[int, ...]:
     2-SDS pipeline runs the same cover loop on the vertices outside its
     2-dominating set.
     """
-    return tuple(sorted(_greedy_cover(G.closed_masks(), (1 << G.n) - 1)))
+    return tuple(sorted(_greedy_cover(G.closed_masks(), (1 << G.n) - 1, 0)))
 
 
 def greedy_2dominating(G: Graph) -> tuple[int, ...]:
-    """Set-multicover greedy for 2-domination.
+    """Set-multicover greedy for 2-domination: `_greedy_cover` with every
+    vertex needing two picks in its closed neighbourhood.
 
     Every vertex outside the growing set carries a residual requirement
-    r(v) = max(0, 2 - |N(v) & picked|).  N[v] & picked = N(v) & picked for v
-    not picked, so r(v) is 0, 1 or 2 as v lies in `two`, in `one` only or in
-    neither: the vertices with at least two and at least one pick in their
-    closed neighbourhood.  The pick maximizes total residual reduction
+    r(v) = max(0, 2 - |N(v) & picked|), as N[v] & picked = N(v) & picked
+    for v not picked.  The pick maximizes total residual reduction
     gain(v) = r(v) + #{positive-residual neighbors}, ties by least id.
     """
-    masks = G.closed_masks()
     full = (1 << G.n) - 1
-    picked = one = two = 0
-    pos = full  # the vertices of positive residual
-    while pos:
-        best, best_gain = -1, 0
-        for v in range(G.n):
-            bit = 1 << v
-            if picked & bit:
-                continue
-            residual = 0 if two & bit else 1 if one & bit else 2
-            gain = residual + (masks[v] & ~bit & pos).bit_count()
-            if gain > best_gain:
-                best, best_gain = v, gain
-        picked |= 1 << best
-        two |= one & masks[best]
-        one |= masks[best]
-        pos = full & ~(picked | two)
-    return tuple(v for v in range(G.n) if picked >> v & 1)
+    return tuple(sorted(_greedy_cover(G.closed_masks(), full, full)))
 
 
 def exact_minimum(

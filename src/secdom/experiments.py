@@ -123,13 +123,6 @@ def run_ratios(
     families emit one row per size up to n.  Returns (rows, violations)
     where a violation is a ratio above Delta+1.
     """
-    writer = csv.writer(csv_out)
-    header = [
-        "family", "n", "m", "delta", "gamma", "gamma2s",
-        "approx_size", "ratio",
-    ]
-    writer.writerow(header)
-    rows = violations = 0
     instances: list[Graph] = []
     if family in ("random-connected", "random-split"):
         for t in range(trials):
@@ -138,6 +131,13 @@ def run_ratios(
         low = 3 if family == "cycle" else 2
         for size in range(low, n + 1):
             instances.append(generate(family, (size,)))
+    writer = csv.writer(csv_out)
+    header = [
+        "family", "n", "m", "delta", "gamma", "gamma2s",
+        "approx_size", "ratio",
+    ]
+    writer.writerow(header)
+    rows = violations = 0
     for G in instances:
         approx = approx_2sds(G)
         delta = G.max_degree()

@@ -152,7 +152,8 @@ def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
 
 def approx_2sds(G: Graph) -> tuple[int, ...]:
     """Greedy 2-SDS: a greedy 2-dominating set D, then a greedy dominating
-    set of G[V - D], run on G's own masks restricted to V - D, unioned.
+    set of G[V - D], unioned; both phases run `domination._greedy_cover` on
+    G's own masks.
 
     The output always passes the verifier, within Delta(G)+1 times the
     optimum.
@@ -163,7 +164,7 @@ def approx_2sds(G: Graph) -> tuple[int, ...]:
         raise DisconnectedGraphError("approx_2sds requires a connected graph")
     d2 = greedy_2dominating(G)
     rest = ((1 << G.n) - 1) & ~sum(1 << v for v in d2)
-    return tuple(sorted(d2 + tuple(_greedy_cover(G.closed_masks(), rest))))
+    return tuple(sorted(d2 + tuple(_greedy_cover(G.closed_masks(), rest, 0))))
 
 
 def dom_set_approx(G: Graph, k: int) -> tuple[int, ...]:

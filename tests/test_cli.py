@@ -1,8 +1,11 @@
 import dataclasses
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -383,3 +386,37 @@ class TestExperiment:
         assert lines[0].startswith("family,n,m,delta,gamma,gamma2s")
         assert len(lines) == 6
         assert written[1] == written[0]
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--family", "bogus"], ["--family", "random-connected", "--p", "0"]],
+        ids=["bogus-family", "p0"],
+    )
+    def test_ratios_rejected_run_writes_nothing(self, capsys, options):
+        code, out, _ = run(capsys, "experiment", "ratios", *options)
+        assert code == 2
+        assert out == ""
+
+
+def readme_commands():
+    """The argv of every `secdom` line in README.md's sh blocks, with the
+    backslash continuations joined and the comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["secdom"]:
+                commands.append(argv[1:])
+    return commands
+
+
+class TestReadme:
+    def test_cli_examples_exit_0(self, capsys, tmp_path, monkeypatch):
+        """The README's CLI examples run in order, each exiting 0."""
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert len(commands) == 9
+        for argv in commands:
+            code, out, err = run_or_exit(capsys, argv)
+            assert code == 0, (argv, out, err)

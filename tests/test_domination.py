@@ -121,6 +121,10 @@ class TestGreedy2Dominating:
     def test_k2_leaf_rule(self):
         assert greedy_2dominating(complete(2)) == (0, 1)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless_takes_everything(self, n):
+        assert greedy_2dominating(build_graph(n, [])) == tuple(range(n))
+
     @pytest.mark.parametrize("seed", range(20))
     def test_output_2dominates(self, seed):
         rng = random.Random(100 + seed)

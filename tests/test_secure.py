@@ -255,17 +255,33 @@ class TestApprox2sds:
         G = random_connected(rng.randint(2, 15), 0.35, rng)
         assert verify_2sds(G, approx_2sds(G)) is not None
 
-    @pytest.mark.parametrize("n", [24, 40, 56])
-    @pytest.mark.parametrize("family", ["random-connected", "random-split"])
+    @pytest.mark.parametrize(
+        "family, n",
+        [(f, n) for f in ("random-connected", "random-split") for n in (24, 40, 56)]
+        + [("classes", 7), ("inapprox-gadget", 7)],
+    )
     def test_matches_induced_subgraph_reference(self, family, n):
-        """The second greedy on G's masks restricted to V - D picks what the
-        greedy on the renumbered induced subgraph G[V - D] picks."""
-        p = 6 / n if family == "random-connected" else 0.3
-        for seed in range(6):
-            G = generate(family, (n, p), seed=1000 * n + seed)
-            assert approx_2sds(G) == reference_approx_2sds(G), (family, n, seed)
-            assert greedy_dominating(G) == reference_greedy_dominating(G)
-            assert greedy_2dominating(G) == reference_greedy_2dominating(G)
+        """The greedies agree with the plain-set references, and the second
+        greedy on G's masks restricted to V - D picks what the greedy on the
+        renumbered induced subgraph G[V - D] picks.  The small classes and
+        their gadgets are where ties decide most picks."""
+        if family in ("classes", "inapprox-gadget"):
+            graphs = [
+                G for m in range(1, n + 1) for G in connected_graphs(m, up_to_iso=True)
+            ]
+            assert len(graphs) == 996
+            if family == "inapprox-gadget":
+                graphs = [inapprox_gadget(G).graph for G in graphs]
+        else:
+            p = 6 / n if family == "random-connected" else 0.3
+            graphs = [
+                generate(family, (n, p), seed=1000 * n + seed) for seed in range(6)
+            ]
+        for G in graphs:
+            assert greedy_dominating(G) == reference_greedy_dominating(G), G.edges
+            assert greedy_2dominating(G) == reference_greedy_2dominating(G), G.edges
+            if G.n >= 2:
+                assert approx_2sds(G) == reference_approx_2sds(G), G.edges
 
 
 class TestDomSetApprox:
