@@ -17,11 +17,25 @@
    - at a dominating leaf, the test of `kind`: none for dom; for 2dom,
      whether every vertex outside S has two picks in its closed
      neighbourhood, as N[v] & S = N(v) & S for v outside S; for 2-SDS the
-     2-SDS test, which first retries, most recent first, every attack
-     pair that a full scan of this level found undefended, moving a pair
-     that defeats the candidate to the front, then scans every pair in lex
-     order.  Only a full scan adds a pair, and never one of the list, so
-     the list holds at most C(64, 2) distinct pairs.
+     2-SDS test, which first applies the shared-sole-defender rule, then
+     retries, most recent first, every attack pair that a full scan of this
+     level found undefended, moving a pair that defeats the candidate to the
+     front, then scans every pair in lex order.  Only a full scan adds a
+     pair, and never one of the list, so the list holds at most C(64, 2)
+     distinct pairs;
+   - the shared-sole-defender rule: a dominating S fails when two vertices
+     u1, u2 have N[u1] & S = N[u2] & S = {v}, since the attack (u1, u2)
+     needs two distinct defenders from {v}.  At a leaf: N[v] & ex1 has two
+     bits for some v in S.  For 2-SDS it also runs at each interior push of
+     a pick p, on fin1 = dead[p] & ~(need | two) after the push, the
+     vertices whose count of picks is final (N[u] lies within 0..p) and
+     equal to 1.  If two of them share their sole pick v, the prefix ends
+     with every later sibling q > p, as the dead rule does: q and every
+     later pick lie outside N[u1] and N[u2], so with v picked before p both
+     stay private to v, and with v = p both stay undominated.  Only the
+     vertices of fin1 outside dead[picks[j - 1]] are looked up; the parent
+     checked the older ones, whose count p did not change.  The proof is in
+     full in `_pykernel.witness`.
 
    `kernel.solve_level` picks this module or `_pykernel` and computes the
    count of k-combinations examined, the witness's lex position, for either
@@ -76,10 +90,17 @@ typedef struct {
     unsigned char u[MAX_N * (MAX_N - 1) / 2][2];
 } Failed;
 
-/* Whether the dominating set S is a 2-SDS: first the pairs of `failed`, then
-   every pair in lex order.  A full scan's failing pair is added in front. */
+/* Whether the dominating set S is a 2-SDS: first the shared-sole-defender
+   rule (no v in S has two vertices of `ex1` in N[v]), then the pairs of
+   `failed`, then every pair in lex order.  A full scan's failing pair is
+   added in front. */
 static int is_2sds(const Set *s, int n, Failed *failed)
 {
+    for (u64 m = s->smask; m; m &= m - 1) {
+        u64 private = s->masks[LOW(m)] & s->ex1;
+        if (private & (private - 1))
+            return 0;
+    }
     for (int i = 0; i < failed->len; i++) {
         unsigned char u1 = failed->u[i][0], u2 = failed->u[i][1];
         if (!defended(s, u1, u2)) {
@@ -100,6 +121,20 @@ static int is_2sds(const Set *s, int n, Failed *failed)
                 return 0;
             }
     return 1;
+}
+
+/* Whether a vertex of `fresh` shares its sole pick with another vertex of
+   `fin1`, the vertices u with N[u] & S = {v} for one v of S = `smask`:
+   `fresh` is a subset of `fin1`, and v has two of them iff N[v] & fin1 has
+   two bits. */
+static int shares_sole_pick(const u64 *masks, u64 smask, u64 fin1, u64 fresh)
+{
+    for (; fresh; fresh &= fresh - 1) {
+        u64 shared = masks[LOW(masks[LOW(fresh)] & smask)] & fin1;
+        if (shared & (shared - 1))
+            return 1;
+    }
+    return 0;
 }
 
 static PyObject *picks_tuple(const int *picks, int k)
@@ -200,11 +235,19 @@ static PyObject *witness(PyObject *self, PyObject *args)
             }
         } else if (p < n - last + j) {
             u64 unc = rest & ~masks[p];
-            if (!(unc & dead[p])) {
+            u64 smask = chosen[j] | BIT(p), at2 = two[j] | (~rest & masks[p]);
+            u64 fin1 = dead[p] & ~(unc | at2);
+            /* the dead rule, then for 2-SDS the shared-sole-defender rule on
+               the vertices that p makes final: either ends the prefix and
+               every later sibling */
+            if (!(unc & dead[p]) &&
+                !(kind == TWO_SDS &&
+                  shares_sole_pick(masks, smask, fin1,
+                                   j ? fin1 & ~dead[picks[j - 1]] : fin1))) {
                 picks[j] = p;
                 need[j + 1] = unc;
-                chosen[j + 1] = chosen[j] | BIT(p);
-                two[j + 1] = two[j] | (~rest & masks[p]);
+                chosen[j + 1] = smask;
+                two[j + 1] = at2;
                 three[j + 1] = three[j] | (two[j] & masks[p]);
                 j++;
                 p++;

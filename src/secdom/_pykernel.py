@@ -12,8 +12,15 @@ The level scan is a depth-first search over k-subsets in lex order.  It
 covers incrementally, one OR per node, and abandons a prefix together with
 every later sibling as soon as a vertex it leaves uncovered has its whole
 closed neighbourhood at or below the last pick: no later pick can cover it.
-It carries the layers of the picks down its path, filled lazily, so the test
-of its kind reads the layers of a dominating leaf in O(1).
+It carries the layers of the picks down its path, so the test of its kind
+reads the layers of a dominating leaf in O(1).
+
+For 2-SDS it also applies the shared-sole-defender rule: a dominating S in
+which two vertices have the same single member v of S in their closed
+neighbourhoods is not a 2-SDS, since the attack on those two needs two
+distinct defenders from {v}.  The 2-SDS test checks it at a dominating leaf
+before any attack pair, and the scan checks it on every prefix for the
+vertices whose count of picks is already final (proof in `witness`).
 
 The defence search tests a swap without rebuilding the swapped set.
 `layers` sorts the vertices by how many members of S their closed
@@ -57,16 +64,46 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     lie above p too.
 
     The first j picks' mask and the vertices with at least two and at least
-    three picks in their closed neighbourhood are kept per depth, filled
-    lazily: only a dominating leaf of TWO_DOM or TWO_SDS fills them, from the
-    deepest depth still valid, and a push at depth j marks every deeper depth
-    stale.  The at-least-one layer of depth j is `full & ~need[j]`.  So the
-    dom scans pay one comparison per push, and the test gets the layers in
-    O(1) per leaf of an unchanged prefix.
+    three picks in their closed neighbourhood are kept per depth.  TWO_SDS
+    fills them on every push, as its prefix rule reads them.  TWO_DOM, which
+    reads the first two only, fills those lazily: only a dominating leaf
+    fills them, from the deepest depth still valid, and a push at depth j
+    marks every deeper depth stale.  The at-least-one layer of depth j is
+    `full & ~need[j]`.  So the dom scans pay one flag test and one
+    comparison per push, and the test gets the layers in O(1) per leaf of an
+    unchanged prefix.
 
     D 2-dominates iff every vertex is in D or has two members of D in its
     closed neighbourhood, since N[v] & D = N(v) & D for v outside D: one OR
     with the at-least-two layer.  The 2-SDS test is `_is_2sds`.
+
+    The shared-sole-defender rule.  Let S dominate, and call u private to v
+    when N[u] & S = {v}.  If some v in S has two private vertices u1, u2,
+    then S is not a 2-SDS: the attack (u1, u2) needs distinct defenders
+    v1 in N[u1] & S and v2 in N[u2] & S, and both sets are {v}.  In layer
+    terms, S fails when N[v] & ex1 has two bits for some v in S; `_is_2sds`
+    tests this first, in O(k).
+
+    The prefix rule, for TWO_SDS.  After the push of pick p at depth j, let
+    fin1 = dead[p] & (at least one pick) & ~(at least two picks): the
+    vertices u with N[u] within 0..p, so that no later pick enters N[u] and
+    their count is final, and equal to 1.  If two vertices u1, u2 of fin1
+    share their sole pick v, the prefix is abandoned with every later
+    sibling, through the exit of the dead rule:
+
+    - every completion keeps N[u1] & S = N[u2] & S = {v}, as its later picks
+      lie above p, so no completion is a 2-SDS;
+    - a later sibling q > p at depth j cannot enter N[u1] or N[u2], which
+      lie within 0..p.  If v was picked before depth j, u1 and u2 stay
+      private to v under every completion of the sibling.  If v = p, the
+      sibling's prefix holds no member of N[u1], nor does any later pick,
+      so u1 stays undominated.
+
+    Only the vertices of fin1 outside dead[picks[j - 1]] need a lookup: the
+    older ones had their final count at the parent, since p is not in their
+    closed neighbourhood, and the parent found no two sharing a pick.  Each
+    new vertex u looks up its sole pick v and fails when N[v] & fin1 has two
+    bits.
     """
     if kind not in (DOM, TWO_DOM, TWO_SDS):
         raise ValueError(f"unknown level-scan kind {kind!r}")
@@ -86,6 +123,7 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     twos = [0] * k
     threes = [0] * k
     valid = 0
+    sds = kind == TWO_SDS  # fills sets, twos and threes on every push
     failed: list[tuple[int, int]] = []  # for TWO_SDS, see `_is_2sds`
     j = p = 0
     while j >= 0:
@@ -97,12 +135,12 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
                     picks[j] = q
                     if kind == DOM:
                         return tuple(picks)
-                    while valid < last:
-                        nb = masks[picks[valid]]
-                        sets[valid + 1] = sets[valid] | 1 << picks[valid]
-                        threes[valid + 1] = threes[valid] | twos[valid] & nb
-                        twos[valid + 1] = twos[valid] | ~need[valid] & nb
-                        valid += 1
+                    if kind == TWO_DOM:
+                        while valid < last:
+                            nb = masks[picks[valid]]
+                            sets[valid + 1] = sets[valid] | 1 << picks[valid]
+                            twos[valid + 1] = twos[valid] | ~need[valid] & nb
+                            valid += 1
                     nb = masks[q]
                     smask = sets[last] | 1 << q
                     two = twos[last] | ~rest & nb
@@ -122,6 +160,20 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
         elif p < n - last + j:
             unc = rest & ~masks[p]
             if not unc & dead[p]:
+                if sds:
+                    nb = masks[p]
+                    smask = sets[j] | 1 << p
+                    two = twos[j] | ~rest & nb
+                    fin1 = dead[p] & ~(unc | two)
+                    fresh = fin1 & ~dead[picks[j - 1]] if j else fin1
+                    if fresh and _shares_sole_pick(masks, smask, fin1, fresh):
+                        # as the dead rule: the prefix ends with its later siblings
+                        j -= 1
+                        p = picks[j] + 1
+                        continue
+                    sets[j + 1] = smask
+                    threes[j + 1] = threes[j] | twos[j] & nb
+                    twos[j + 1] = two
                 picks[j] = p
                 need[j + 1] = unc
                 if valid > j:
@@ -133,6 +185,20 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
         j -= 1
         p = picks[j] + 1
     return None
+
+
+def _shares_sole_pick(masks: Sequence[int], smask: int, fin1: int, fresh: int) -> bool:
+    """Whether a vertex of `fresh` shares its sole pick with another vertex
+    of `fin1`: the vertices u with N[u] & S = {v} for one v of S = `smask`.
+    `fresh` is a subset of `fin1`, and v has two of them iff N[v] & fin1 has
+    two bits."""
+    while fresh:
+        low = fresh & -fresh
+        shared = masks[(masks[low.bit_length() - 1] & smask).bit_length() - 1] & fin1
+        if shared & (shared - 1):
+            return True
+        fresh ^= low
+    return False
 
 
 def _is_2sds(
@@ -150,7 +216,18 @@ def _is_2sds(
     found undefended at this level.  They are retried first, and a pair that
     defeats S moves to the front; every pair is scanned only when none does.
     A full scan never returns a pair of the list, since S defends those, so
-    the list holds distinct pairs and grows only by full scans."""
+    the list holds distinct pairs and grows only by full scans.
+
+    Before any pair, the shared-sole-defender rule (see `witness`): S fails
+    when some v of S has two vertices of `ex1` in N[v]."""
+    ex1 = layered[1]
+    m = smask
+    while m:
+        low = m & -m
+        private = masks[low.bit_length() - 1] & ex1
+        if private & (private - 1):
+            return False
+        m ^= low
     for i, pair in enumerate(failed):
         if defenders(masks, smask, *pair, full, layered) is None:
             if i:

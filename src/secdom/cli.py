@@ -138,19 +138,16 @@ def _cmd_experiment(args) -> int:
     if args.suite == "identities":
         _, failed = experiments.run_identities(max_n=args.max_n)
         return EXIT_OK if failed == 0 else EXIT_NEGATIVE
+    # built before the CSV file is opened, so a rejected run leaves it as it was
+    instances = experiments.ratio_instances(
+        family=args.family, n=args.n, trials=args.trials, seed=args.seed, p=args.p
+    )
     with (
         open(args.csv, "w", newline="")
         if args.csv
         else contextlib.nullcontext(sys.stdout)
     ) as out:
-        _, violations = experiments.run_ratios(
-            family=args.family,
-            n=args.n,
-            trials=args.trials,
-            seed=args.seed,
-            p=args.p,
-            csv_out=out,
-        )
+        _, violations = experiments.run_ratios(args.family, instances, out)
     return EXIT_OK if violations == 0 else EXIT_NEGATIVE
 
 

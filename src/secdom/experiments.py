@@ -4,7 +4,7 @@ tables over generated instances."""
 from __future__ import annotations
 
 import csv
-from typing import TextIO
+from typing import Sequence, TextIO
 
 from .domination import DEFAULT_DOMINATION_BUDGET, DOMINATING, exact_minimum
 from .enumgraphs import connected_graphs
@@ -112,25 +112,28 @@ def run_identities(max_n: int = 4) -> tuple[int, int]:
     return passed, failed
 
 
+def ratio_instances(
+    family: str, n: int, trials: int, seed: int, p: float = 0.4
+) -> list[Graph]:
+    """The instances of a `run_ratios` table.  Random families draw `trials`
+    seeded samples at size n; deterministic families give one graph per size
+    up to n.  An unknown family or a p outside (0, 1] raises GraphError here,
+    before any row is written."""
+    if family in ("random-connected", "random-split"):
+        return [generate(family, (n, p), seed=seed + t) for t in range(trials)]
+    low = 3 if family == "cycle" else 2
+    return [generate(family, (size,)) for size in range(low, n + 1)]
+
+
 def run_ratios(
-    family: str, n: int, trials: int, seed: int, csv_out: TextIO, p: float = 0.4
+    family: str, instances: Sequence[Graph], csv_out: TextIO
 ) -> tuple[int, int]:
     """Tabulate the greedy 2-SDS size against the exact optimum, one CSV row
-    per instance to `csv_out`; the exact columns stay empty above
-    `RATIO_EXACT_MAX_N` vertices.
+    per instance of `family` (see `ratio_instances`) to `csv_out`; the exact
+    columns stay empty above `RATIO_EXACT_MAX_N` vertices.
 
-    Random families draw `trials` seeded samples at size n; deterministic
-    families emit one row per size up to n.  Returns (rows, violations)
-    where a violation is a ratio above Delta+1.
+    Returns (rows, violations) where a violation is a ratio above Delta+1.
     """
-    instances: list[Graph] = []
-    if family in ("random-connected", "random-split"):
-        for t in range(trials):
-            instances.append(generate(family, (n, p), seed=seed + t))
-    else:
-        low = 3 if family == "cycle" else 2
-        for size in range(low, n + 1):
-            instances.append(generate(family, (size,)))
     writer = csv.writer(csv_out)
     header = [
         "family", "n", "m", "delta", "gamma", "gamma2s",

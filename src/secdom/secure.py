@@ -128,7 +128,11 @@ def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
     """Minimum 2-SDS by size-increasing enumeration.
 
     Starts at size 2; candidates are pruned to dominating sets before the
-    pair check, so the levels below gamma(G) find none.  Always terminates:
+    pair check, so the levels below gamma(G) find none.  A dominating
+    candidate, and every prefix that leads only to such candidates, is also
+    dropped when two vertices u1, u2 have N[u1] & S = N[u2] & S = {v}, since
+    the attack (u1, u2) needs two distinct defenders (proof in
+    `_pykernel.witness`).  Always terminates:
     V itself is a 2-SDS of a connected graph.  The witness is the
     lexicographically least minimum set and ships with its defense
     certificate.

@@ -387,15 +387,28 @@ class TestExperiment:
         assert len(lines) == 6
         assert written[1] == written[0]
 
-    @pytest.mark.parametrize(
+    rejected_ratios = pytest.mark.parametrize(
         "options",
         [["--family", "bogus"], ["--family", "random-connected", "--p", "0"]],
         ids=["bogus-family", "p0"],
     )
+
+    @rejected_ratios
     def test_ratios_rejected_run_writes_nothing(self, capsys, options):
         code, out, _ = run(capsys, "experiment", "ratios", *options)
         assert code == 2
         assert out == ""
+
+    @rejected_ratios
+    def test_ratios_rejected_run_keeps_the_csv_file(self, capsys, tmp_path, options):
+        """The instances are checked before the --csv file is opened."""
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_bytes(b"kept\n")
+        code, _, _ = run(
+            capsys, "experiment", "ratios", *options, "--csv", str(csv_path)
+        )
+        assert code == 2
+        assert csv_path.read_bytes() == b"kept\n"
 
 
 def readme_commands():

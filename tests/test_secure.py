@@ -38,6 +38,7 @@ from util import (
     oracle_defenders,
     oracle_dominating,
     oracle_is_2sds,
+    open_neighbourhoods,
     path,
     random_connected,
     reference_approx_2sds,
@@ -616,13 +617,13 @@ class TestLevelScan:
             got = kernel.solve_level(masks, k, kernel.TWO_SDS)
             assert got == expected, (G.edges, k)
 
-    def test_defence_calls_of_comb8(self, monkeypatch):
-        """A machine-independent guard on the retry of every failing pair,
-        most recent first: the pure exact solve of comb8 runs 17 full defence
-        scans, the certificate's included, and 5,449 single-pair defence
-        searches, those of the scans included (1,028 and 46,088 when only
-        the last failing pair is retried)."""
-        calls = {"first_undefended": 0, "defenders": 0}
+    @staticmethod
+    def count_calls(monkeypatch, G):
+        """The pure exact solve of G, and its calls of `_is_2sds` (dominating
+        leaves tested), `first_undefended` (full defence scans) and
+        `defenders` (single-pair defence searches, those of the scans
+        included), the certificate's included."""
+        calls = {"_is_2sds": 0, "first_undefended": 0, "defenders": 0}
 
         def counting(name):
             search = getattr(_pykernel, name)
@@ -636,6 +637,64 @@ class TestLevelScan:
         monkeypatch.setattr(kernel, "_kernel", None)
         for name in calls:
             monkeypatch.setattr(_pykernel, name, counting(name))
-        report = exact_gamma_2s(generate("comb", (8,)))
+        return exact_gamma_2s(G, budget=G.n), calls
+
+    def test_defence_calls_of_comb8(self, monkeypatch):
+        """A machine-independent guard on the shared-sole-defender rule and
+        on the retry of every failing pair, most recent first: the pure exact
+        solve of comb8 tests 1,253 dominating leaves (3,086 without the
+        rule), and runs 17 full defence scans and 2,147 single-pair defence
+        searches (5,449 without the rule; 46,088 when only the last failing
+        pair is retried)."""
+        report, calls = self.count_calls(monkeypatch, generate("comb", (8,)))
         assert (report.value, report.subsets_examined) == (11, 58648)
-        assert calls == {"first_undefended": 17, "defenders": 5449}
+        assert calls == {"_is_2sds": 1253, "first_undefended": 17, "defenders": 2147}
+
+    def test_defence_calls_of_gs_p4(self, monkeypatch):
+        """The rule at work on gs(P4): 1,621 dominating leaves tested, 2 full
+        defence scans and 380 defence searches (26,290, 27 and 30,978
+        without it)."""
+        report, calls = self.count_calls(monkeypatch, gs_graph(path(4)).graph)
+        assert (report.value, report.subsets_examined) == (12, 792393)
+        assert calls == {"_is_2sds": 1621, "first_undefended": 2, "defenders": 380}
+
+
+class TestSharedSoleDefender:
+    """The leaf rule of the 2-SDS test: a dominating S is rejected before any
+    defence search iff some v of S has two vertices u of N[v] with
+    N[u] & S = {v}, and every S so rejected is not a 2-SDS."""
+
+    class Searched(Exception):
+        pass
+
+    @pytest.mark.parametrize(
+        "graphs", [f"classes-n{n}" for n in range(1, 8)] + ["random"]
+    )
+    def test_leaf_rule_is_sound(self, graphs, monkeypatch):
+        def search(*args):
+            raise self.Searched
+
+        monkeypatch.setattr(_pykernel, "first_undefended", search)
+        fired = 0
+        for G in level_scan_family(graphs):
+            masks = list(G.closed_masks())
+            full = (1 << G.n) - 1
+            closed = [nbrs | {v} for v, nbrs in enumerate(open_neighbourhoods(G))]
+            for smask in range(1, full + 1):
+                layered = _pykernel.layers(masks, smask, full)
+                if layered[0]:
+                    continue
+                S = {v for v in range(G.n) if smask >> v & 1}
+                try:
+                    rejected = not _pykernel._is_2sds(masks, smask, full, layered, [])
+                except self.Searched:
+                    rejected = False
+                shared = any(
+                    sum(closed[u] & S == {v} for u in closed[v]) >= 2 for v in S
+                )
+                assert rejected == shared, (G.edges, S)
+                if rejected:
+                    fired += 1
+                    assert not oracle_is_2sds(G, S), (G.edges, S)
+        # K1, the one graph of classes-n1, has no two vertices to share one
+        assert fired or graphs == "classes-n1"
