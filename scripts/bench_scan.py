@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Per-layer times and machine-independent counts of exact 2-SDS solves, for
-a BENCH_<topic>.json file.
+"""Per-layer times and machine-independent counts of exact 2-SDS solves and
+of full defence scans, for a BENCH_<topic>.json file.
 
-    python3 scripts/bench_scan.py LABEL SRC OUT
+    python3 scripts/bench_scan.py LABEL SRC OUT [SET]
 
-Imports secdom from SRC, the `src` directory of a checkout, builds its
-`_kernel.c` into a temporary directory, and measures each instance of
-`INSTANCES` on both backends:
+Imports secdom from SRC, the `src` directory of a checkout, and measures the
+instance set SET, `solve` (the default) or `defence`.
+
+`solve` builds the checkout's `_kernel.c` into a temporary directory, and
+measures each instance of `INSTANCES` on both backends:
 
 - `level_scan_ms`: best of 5 runs of `kernel.least_set`, the level scan;
 - `certificate_ms`: best of 5 runs of `secure._scan_2sds` on the witness.
@@ -17,18 +19,30 @@ their calls, gives the counts that carry over to other machines: the
 tested), and the `first_undefended` and `defenders` calls, those of the
 certificate included.
 
-The run is stored under LABEL in OUT's "runs".  Runs under other labels and
-OUT's other keys, such as a note on where the runs were made, are kept, so a
-before/after file is two calls on two checkouts.  Run them one
-after the other, not side by side, since they time wall clock.
+`defence` times full defence scans, the layer of certificates, `secdom
+verify` and the check of `secdom approx`: `_pykernel.first_undefended` on the
+`approx_2sds` set of `DEFENCE_GRAPHS` seeded random-connected graphs of mean
+degree `DEFENCE_DEGREE` at each size of `DEFENCE_SIZES`, all of them 2-SDS,
+so each scan covers every attack pair.  Per size it stores the best of 5
+runs over the graphs with a table (`table`) and without one (`bare`), the
+attack pairs, the `defenders` calls of one scan of each graph with a table,
+and the sha256 of those tables, which must match between runs.
+
+The run is stored under LABEL in OUT's "runs", with the set's results under
+its name.  Runs under other labels, the other set of the same label and
+OUT's other keys, such as a note on where the runs were made, are kept, so
+a before/after file is two calls on two checkouts.  Run them one after the
+other, not side by side, since they time wall clock.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
 import platform
+import random
 import sys
 import tempfile
 from time import perf_counter
@@ -51,6 +65,14 @@ INSTANCES = {
         "random-split", (64, 0.3), seed=1
     ),
 }
+
+
+# The defence-scan graphs: DEFENCE_GRAPHS per size, drawn from one seeded
+# generator in the order of DEFENCE_SIZES.
+DEFENCE_SIZES = (24, 40, 56)
+DEFENCE_GRAPHS = 4
+DEFENCE_DEGREE = 6
+DEFENCE_SEED = 5
 
 
 def build_kernel(src, out):
@@ -82,6 +104,28 @@ def best_ms(fn):
     return round(best * 1e3, 3)
 
 
+def count_calls(module, names, run):
+    """`run()`, and the calls it made of each function `names` of `module`."""
+    calls = dict.fromkeys(names, 0)
+    originals = {f: getattr(module, f) for f in names}
+
+    def counting(f):
+        def counted(*args):
+            calls[f] += 1
+            return originals[f](*args)
+
+        return counted
+
+    try:
+        for f in names:
+            setattr(module, f, counting(f))
+        result = run()
+    finally:
+        for f, fn in originals.items():
+            setattr(module, f, fn)
+    return result, calls
+
+
 def measure(secdom, compiled):
     from secdom import _pykernel, kernel, secure
 
@@ -105,24 +149,13 @@ def measure(secdom, compiled):
             }
         if len(answers) != 1:
             sys.exit(f"{name}: the backends disagree: {sorted(answers)}")
-        calls = dict.fromkeys(COUNTED, 0)
-        originals = {f: getattr(_pykernel, f) for f in COUNTED}
 
-        def counting(f):
-            def counted(*args):
-                calls[f] += 1
-                return originals[f](*args)
-
-            return counted
-
-        try:
-            for f in COUNTED:
-                setattr(_pykernel, f, counting(f))
+        def solve():
             witness, examined = kernel.least_set(masks, kernel.TWO_SDS)
             secure._scan_2sds(G, witness, True)
-        finally:
-            for f, fn in originals.items():
-                setattr(_pykernel, f, fn)
+            return witness, examined
+
+        (witness, examined), calls = count_calls(_pykernel, COUNTED, solve)
         row.update(
             value=len(witness),
             witness=list(witness),
@@ -134,30 +167,79 @@ def measure(secdom, compiled):
     return instances
 
 
+def measure_defence(secdom):
+    from secdom import _pykernel
+
+    rng = random.Random(DEFENCE_SEED)
+    sizes = {}
+    for n in DEFENCE_SIZES:
+        sets = []
+        for _ in range(DEFENCE_GRAPHS):
+            G = secdom.generate(
+                "random-connected",
+                (n, DEFENCE_DEGREE / (n - 1)),
+                seed=rng.randrange(2**31),
+            )
+            masks = G.closed_masks()
+            smask = sum(1 << v for v in secdom.approx_2sds(G))
+            sets.append((masks, smask, _pykernel.layers(masks, smask, (1 << n) - 1)))
+
+        def scan_all(table):
+            tables = []
+            for masks, smask, layered in sets:
+                tables.append({} if table else None)
+                if _pykernel.first_undefended(masks, smask, layered, tables[-1]):
+                    sys.exit(f"n={n}: an approx_2sds set fails its defence scan")
+            return tables
+
+        tables, calls = count_calls(_pykernel, ("defenders",), lambda: scan_all(True))
+        row = {
+            "set_sizes": [smask.bit_count() for _, smask, _ in sets],
+            "pairs": DEFENCE_GRAPHS * n * (n - 1) // 2,
+            "scan_ms": {
+                "table": best_ms(lambda: scan_all(True)),
+                "bare": best_ms(lambda: scan_all(False)),
+            },
+            "calls": calls,
+            "table_sha256": hashlib.sha256(
+                repr([list(t.items()) for t in tables]).encode()
+            ).hexdigest(),
+        }
+        sizes[f"n={n}"] = row
+        print(f"n={n}", json.dumps(row), flush=True)
+    return sizes
+
+
 def main(argv):
-    if len(argv) != 3:
+    if len(argv) not in (3, 4):
         sys.exit(__doc__)
-    label, src, out = argv
+    label, src, out = argv[:3]
+    which = argv[3] if len(argv) == 4 else "solve"
+    if which not in ("solve", "defence"):
+        sys.exit(f"unknown set {which!r}: choose solve or defence")
     src = os.path.abspath(src)
     sys.path.insert(0, src)
     import secdom
 
-    with tempfile.TemporaryDirectory() as tmp:
-        compiled = build_kernel(src, tmp)
-        instances = measure(secdom, compiled)
+    if which == "solve":
+        with tempfile.TemporaryDirectory() as tmp:
+            compiled = build_kernel(src, tmp)
+            results = {"instances": measure(secdom, compiled)}
+    else:
+        results = {"defence": measure_defence(secdom)}
     cpus = len(os.sched_getaffinity(0))
-    run = {
-        "python": platform.python_version(),
-        "cpus": cpus,
-        "note": f"times in ms, best of {REPEATS}, wall clock on a {cpus}-CPU "
-        "machine; only the counts carry over to other machines",
-        "instances": instances,
-    }
     doc = {"runs": {}}
     if os.path.exists(out):
         with open(out) as fh:
             doc = json.load(fh)
-    doc["runs"][label] = run
+    run = doc["runs"].setdefault(label, {})
+    run.update(
+        python=platform.python_version(),
+        cpus=cpus,
+        note=f"times in ms, best of {REPEATS}, wall clock on a {cpus}-CPU "
+        "machine; only the counts carry over to other machines",
+        **results,
+    )
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

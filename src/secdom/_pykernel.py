@@ -1,7 +1,8 @@
 """Pure-Python search engine over bitmask adjacency: one level scan
-(`witness`, for dom, 2dom or 2-SDS), one coverage primitive (`layers`), one
-per-pair defence search (`defenders`), and one defence scan
-(`first_undefended`) for the 2-SDS test and the verifier's certificates.
+(`witness`, for dom, 2dom or 2-SDS), one coverage primitive (`layers`), and
+the defence primitive in two forms: a single-pair search (`defenders`) and a
+row sweep over all attack pairs (`first_undefended`), for the 2-SDS test and
+the verifier's certificates.
 
 `layers` is the coverage primitive that secure and domination share outside
 the level scan, which keeps the same `one`/`two` recurrence down its path:
@@ -31,9 +32,13 @@ neighbourhood holds: none (`zero`), exactly one (`ex1`) or exactly two
 
 because a vertex w is left undominated iff it lies outside N[u1] | N[u2]
 and N[w] & S is a subset of {v1, v2}: empty, one of them, or both.  The
-layers are computed once per set and shared by every attack pair.  The
-2-SDS test of `witness` retries every attack pair that failed at its level
-before it scans every pair.
+layers are computed once per set and shared by every attack pair.
+`defenders` applies the test to one attack pair.  `first_undefended` turns
+it around, as w is outside N[u2] iff u2 is outside N[w]: for a fixed u1 and
+swap it computes the whole set of u2 that the swap defends in a few ANDs,
+so one pass over the swaps settles a row of attack pairs.  The 2-SDS test
+of `witness` retries every attack pair that failed at its level with
+`defenders` before it sweeps every row.
 
 The C extension `_kernel.c` exports the same `witness(masks, k, kind)` on
 uint64 masks; `kernel.solve_level` picks this module instead when the
@@ -307,23 +312,116 @@ def first_undefended(
     table: Optional[dict[tuple[int, int], tuple[int, int]]] = None,
 ) -> Optional[tuple[int, int]]:
     """First attack pair (u1 < u2, lex order) that S = `smask` cannot
-    defend, or None.  A dict `table` receives each defended pair's
-    lex-least ordered defender pair.
+    defend, or None.  A dict `table` receives each defended pair before it,
+    in lex order, with the pair's lex-least ordered defender pair, the pair
+    `defenders` returns.  `layered` is `layers(masks, smask, full)`.
 
-    `layered` is `layers(masks, smask, full)`, computed once per set by the
-    caller, and every pair shares it: a swap of (v1, v2) for (u1, u2)
-    dominates iff
-    (zero | N[v1]&ex1 | N[v2]&ex1 | N[v1]&N[v2]&ex2) & ~(N[u1] | N[u2]) == 0,
-    since a vertex is left undominated iff it lies outside N[u1] | N[u2]
-    and its members of S are among v1 and v2 (proof in `defenders`)."""
+    A row sweep: one pass per u1 settles all the u2 > u1 at once, held in
+    one bitmask.  By the swap test (see `defenders`), the swap of v1 in
+    N[u1] & S and v2 in S - v1 defends (u1, u2) iff u2 is in N[v2] and
+    every vertex w of
+
+        B = (zero | N[v1]&ex1 | N[v2]&ex1 | N[v1]&N[v2]&ex2) - N[u1]
+
+    lies in N[u2].  Since w is in N[u2] iff u2 is in N[w], the u2 that the
+    swap defends are exactly N[v2] & meet(B), where meet(X) is the
+    intersection of N[w] over the w in X (all vertices for an empty X).
+    The meet splits along B: the zero part once per row, the N[v1] part
+    once per v1, the N[v2] part once per set (per pair for a v2 with a
+    private neighbour, in N[v2] & ex1, inside N[u1]), and the N[v1]&N[v2]
+    part per pair.  A u2 outside the meet of the zero part has no defender,
+    so the first such u2 ends the row: the sweep settles the u2 below it.
+
+    Lex order.  The sweep visits the ordered pairs (v1 in N[u1] & S, v2 in
+    S - v1) in lex order and takes each u2 out of the row mask at the first
+    pair that defends it, so each defended u2 keeps its lex-least defender
+    pair, and the row stops once no u2 is left.  The rows run in increasing
+    u1, so the first row with a u2 left holds the first undefended pair,
+    (u1, its least u2 left).  Each row's defender pairs go to a buffer
+    indexed by u2, which is written to `table` after the row in increasing
+    u2, so the table's keys are in lex order.
+    """
+    zero, ex1, ex2 = layered
     n = len(masks)
     full = (1 << n) - 1
-    for u1 in range(n):
-        for u2 in range(u1 + 1, n):
-            pair = defenders(masks, smask, u1, u2, full, layered)
-            if pair is None:
-                return u1, u2
-            if table is not None:
-                table[(u1, u2)] = pair
+    # per v in S: its bit, N[v], its private neighbours N[v] & ex1, N[v] &
+    # ex2, and N[v] & meet(N[v] & ex1), the u2 it can defend when none of
+    # its private neighbours lies in N[u1]
+    members = []
+    m = smask
+    while m:
+        low = m & -m
+        nb = masks[low.bit_length() - 1]
+        private = nb & ex1
+        reach = nb
+        w = private
+        while w:
+            b = w & -w
+            reach &= masks[b.bit_length() - 1]
+            w ^= b
+        members.append((low, nb, private, nb & ex2, reach))
+        m ^= low
+    buf = [None] * n if table is not None else None
+    for u1 in range(n - 1):
+        n_u1 = masks[u1]
+        targets = full ^ ((2 << u1) - 1)
+        meet = targets
+        w = zero & ~n_u1
+        while w:
+            low = w & -w
+            meet &= masks[low.bit_length() - 1]
+            w ^= low
+        hopeless = targets & ~meet
+        first = hopeless & -hopeless  # the least u2 with no defender, or 0
+        left = targets & (first - 1)
+        for b1, _, private1, two1, _ in members:
+            if not b1 & n_u1:
+                continue
+            reach1 = left
+            w = private1 & ~n_u1
+            while w:
+                b = w & -w
+                reach1 &= masks[b.bit_length() - 1]
+                w ^= b
+            if not reach1:
+                continue
+            for b2, n2, private2, two2, reach in members:
+                if b2 == b1:
+                    continue
+                if private2 & n_u1:
+                    hit = reach1 & n2
+                    w = private2 & ~n_u1
+                    while w:
+                        b = w & -w
+                        hit &= masks[b.bit_length() - 1]
+                        w ^= b
+                else:
+                    hit = reach1 & reach
+                if not hit:
+                    continue
+                w = two1 & two2 & ~n_u1
+                while w:
+                    b = w & -w
+                    hit &= masks[b.bit_length() - 1]
+                    w ^= b
+                if hit:  # the u2 whose lex-least defender pair is (v1, v2)
+                    reach1 ^= hit
+                    left ^= hit
+                    if buf is not None:
+                        pair = b1.bit_length() - 1, b2.bit_length() - 1
+                        while hit:
+                            b = hit & -hit
+                            buf[b.bit_length() - 1] = pair
+                            hit ^= b
+                    if not reach1:
+                        break
+            if not left:
+                break
+        left |= first
+        end = (left & -left).bit_length() - 1 if left else n
+        if buf is not None:
+            for u2 in range(u1 + 1, end):
+                table[u1, u2] = buf[u2]
+        if left:
+            return u1, end
     return None
-

@@ -42,11 +42,15 @@ def _fmt_set(S) -> str:
 
 
 def _print_certificate(cert) -> None:
-    # one write; a certificate covers all C(n, 2) >= 1 attack pairs
-    print("\n".join(
-        f"defend.{u1},{u2}={v1},{v2}"
-        for (u1, u2), (v1, v2) in sorted(cert.entries.items())
-    ))
+    # one write; a certificate covers all C(n, 2) >= 1 attack pairs of the
+    # vertices 0..n-1, the last in lex order (n-2, n-1), and each vertex id
+    # is converted to text once
+    items = sorted(cert.entries.items())
+    ids = [str(v) for v in range(items[-1][0][1] + 1)]
+    print("\n".join([
+        f"defend.{ids[u1]},{ids[u2]}={ids[v1]},{ids[v2]}"
+        for (u1, u2), (v1, v2) in items
+    ]))
 
 
 def _cmd_gen(args) -> int:

@@ -143,6 +143,12 @@ _FAMILIES = (
 _MAX_REJECTION_TRIES = 100000
 
 
+def check_family(family: str) -> None:
+    """Raise GraphError if `generate` has no family of that name."""
+    if family not in _FAMILIES:
+        raise GraphError(f"unknown family {family!r}; choose from {_FAMILIES}")
+
+
 def generate(
     family: str, params: Sequence[float], seed: Optional[int] = None
 ) -> Graph:
@@ -153,8 +159,7 @@ def generate(
     random-split take (n, p) and a seed, and are bit-reproducible for a fixed
     seed.
     """
-    if family not in _FAMILIES:
-        raise GraphError(f"unknown family {family!r}; choose from {_FAMILIES}")
+    check_family(family)
     if not params:
         raise GraphError(f"family {family!r} needs at least a size parameter")
     n = int(params[0])

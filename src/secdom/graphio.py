@@ -11,7 +11,7 @@ import io
 from typing import TextIO, Union
 
 from .gadgets import GadgetResult
-from .graphs import Graph, GraphError, build_graph
+from .graphs import Graph, GraphError, _checked_graph
 
 
 class GraphParseError(GraphError):
@@ -83,7 +83,8 @@ def parse_graph(src: Union[str, TextIO]) -> Graph:
         raise GraphParseError(
             f"header announces {header[1]} edges but body has {len(seen)}"
         )
-    return build_graph(header[0], seen)
+    # each edge is checked above, as Graph would check it
+    return _checked_graph(header[0], seen)
 
 
 def write_roles(result: GadgetResult, out: Union[str, TextIO]) -> None:

@@ -36,6 +36,10 @@ class Graph:
             if u == v:
                 raise GraphError(f"self-loop ({u},{v}) is not allowed")
             canon.add((u, v) if u < v else (v, u))
+        self._fill(n, canon)
+
+    def _fill(self, n: int, canon: Iterable[tuple[int, int]]) -> None:
+        """Set the fields from checked edges, each once with u < v."""
         self.n = n
         self.edges = tuple(sorted(canon))
         masks = [1 << v for v in range(n)]
@@ -109,6 +113,15 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     Rejects out-of-range endpoints and self-loops.
     """
     return Graph(n, edge_list)
+
+
+def _checked_graph(n: int, canon: Iterable[tuple[int, int]]) -> Graph:
+    """A graph on n >= 0 vertices from edges already checked as `Graph`
+    checks them and given each once as (u, v) with u < v, as `graphio`'s
+    parser has; it skips the second check."""
+    G = Graph.__new__(Graph)
+    G._fill(n, canon)
+    return G
 
 
 def check_vertex_set(G: Graph, S: Iterable[int]) -> tuple[int, ...]:

@@ -28,7 +28,8 @@ class DisconnectedGraphError(ValueError):
 @dataclass(frozen=True)
 class DefenseCertificate:
     """Per attack pair {u1,u2}, the defender pair (v1,v2) witnessing the
-    2-secure condition.  Entries cover all C(n,2) unordered pairs."""
+    2-secure condition.  Entries cover all C(n,2) unordered pairs, which the
+    verifier fills in lex order of (u1, u2)."""
 
     entries: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 

@@ -389,8 +389,13 @@ class TestExperiment:
 
     rejected_ratios = pytest.mark.parametrize(
         "options",
-        [["--family", "bogus"], ["--family", "random-connected", "--p", "0"]],
-        ids=["bogus-family", "p0"],
+        [
+            ["--family", "bogus"],
+            # no size of a deterministic family reaches the generator at n = 1
+            ["--family", "bogus", "--n", "1"],
+            ["--family", "random-connected", "--p", "0"],
+        ],
+        ids=["bogus-family", "bogus-family-n1", "p0"],
     )
 
     @rejected_ratios

@@ -118,6 +118,75 @@ class TestDefenceTest:
         self._assert_agree(G, subsets)
 
 
+class TestDefenceScan:
+    """`_pykernel.first_undefended`, the row sweep, against the literal swap
+    check of `tests/util.py` on every attack pair in lex order: the same
+    first undefended pair, and a table holding each defended pair before it
+    with its lex-least defender pair, in lex order."""
+
+    @staticmethod
+    def _assert_agree(G, subsets):
+        """Checks every set of `subsets`; returns how many were dominating,
+        not dominating and not a 2-SDS."""
+        masks = G.closed_masks()
+        full = (1 << G.n) - 1
+        kinds = [0, 0, 0]
+        for S in subsets:
+            smask = sum(1 << v for v in S)
+            layered = _pykernel.layers(masks, smask, full)
+            want_table, want = {}, None
+            for u1, u2 in combinations(range(G.n), 2):
+                pair = oracle_defenders(G, S, u1, u2)
+                if pair is None:
+                    want = u1, u2
+                    break
+                want_table[u1, u2] = pair
+            table = {}
+            got = _pykernel.first_undefended(masks, smask, layered, table)
+            assert got == want, (G.edges, S)
+            assert _pykernel.first_undefended(masks, smask, layered) == want
+            assert table == want_table, (G.edges, S)
+            assert list(table) == sorted(table), (G.edges, S)
+            kinds[0] += not layered[0]
+            kinds[1] += bool(layered[0])
+            kinds[2] += want is not None
+        return kinds
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_class(self, n):
+        """Every set of each class up to n = 5, and a seeded sample of sets
+        with V and the greedy 2-SDS above that."""
+        rng = random.Random(n)
+        kinds = [0, 0, 0]
+        for G in connected_graphs(n, up_to_iso=True):
+            if n <= 5:
+                subsets = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+            else:
+                subsets = [list(range(n)), list(approx_2sds(G))] + [
+                    sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+                    for _ in range(6)
+                ]
+            for i, count in enumerate(self._assert_agree(G, subsets)):
+                kinds[i] += count
+        # K1 has no attack pair, so each of its sets passes
+        assert all(kinds[:2]) and (kinds[2] or n == 1), kinds
+
+    @pytest.mark.parametrize("n", [9, 12, 16, 20, 24, 32, 40])
+    def test_random_graphs(self, n):
+        """The greedy 2-SDS of a seeded sparse graph, supersets of it (full
+        scans), subsets of it (mostly failing) and random sets."""
+        rng = random.Random(n)
+        G = random_connected(n, min(1.0, rng.uniform(2.5, 6.0) / (n - 1)), rng)
+        greedy = list(approx_2sds(G))
+        outside = [v for v in range(n) if v not in greedy]
+        subsets = [greedy, list(range(n))]
+        subsets += [sorted(greedy + rng.sample(outside, k)) for k in (1, 2)]
+        subsets += [sorted(rng.sample(greedy, len(greedy) - k)) for k in (1, 1, 2)]
+        subsets += [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
+        kinds = self._assert_agree(G, subsets)
+        assert all(kinds), kinds
+
+
 class TestVerify:
     def test_p3_witness(self):
         cert = verify_2sds(path(3), [0, 2])
@@ -621,8 +690,8 @@ class TestLevelScan:
     def count_calls(monkeypatch, G):
         """The pure exact solve of G, and its calls of `_is_2sds` (dominating
         leaves tested), `first_undefended` (full defence scans) and
-        `defenders` (single-pair defence searches, those of the scans
-        included), the certificate's included."""
+        `defenders` (single-pair defence searches, which only the retry of
+        failed pairs runs), the certificate's included."""
         calls = {"_is_2sds": 0, "first_undefended": 0, "defenders": 0}
 
         def counting(name):
@@ -643,20 +712,23 @@ class TestLevelScan:
         """A machine-independent guard on the shared-sole-defender rule and
         on the retry of every failing pair, most recent first: the pure exact
         solve of comb8 tests 1,253 dominating leaves (3,086 without the
-        rule), and runs 17 full defence scans and 2,147 single-pair defence
-        searches (5,449 without the rule; 46,088 when only the last failing
-        pair is retried)."""
+        rule), and runs 17 full defence scans and 1,131 single-pair defence
+        searches (4,433 without the rule; 319 scans when only the last
+        failing pair is retried; 1,500 searches when a pair that defeats a
+        set is not moved to the front)."""
         report, calls = self.count_calls(monkeypatch, generate("comb", (8,)))
         assert (report.value, report.subsets_examined) == (11, 58648)
-        assert calls == {"_is_2sds": 1253, "first_undefended": 17, "defenders": 2147}
+        assert calls == {"_is_2sds": 1253, "first_undefended": 17, "defenders": 1131}
 
     def test_defence_calls_of_gs_p4(self, monkeypatch):
         """The rule at work on gs(P4): 1,621 dominating leaves tested, 2 full
-        defence scans and 380 defence searches (26,290, 27 and 30,978
-        without it)."""
+        defence scans, both of the witness (its leaf and its certificate),
+        and so no single-pair search: every other leaf falls to the rule and
+        the list of failed pairs stays empty (26,290, 27 and 30,383 without
+        the rule)."""
         report, calls = self.count_calls(monkeypatch, gs_graph(path(4)).graph)
         assert (report.value, report.subsets_examined) == (12, 792393)
-        assert calls == {"_is_2sds": 1621, "first_undefended": 2, "defenders": 380}
+        assert calls == {"_is_2sds": 1621, "first_undefended": 2, "defenders": 0}
 
 
 class TestSharedSoleDefender:
