@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Per-layer times and machine-independent counts of exact 2-SDS solves and
-of full defence scans, for a BENCH_<topic>.json file.
+"""Per-layer times and machine-independent counts of exact 2-SDS solves, of
+full defence scans and of the class enumeration, for a BENCH_<topic>.json
+file.
 
     python3 scripts/bench_scan.py LABEL SRC OUT [SET]
 
 Imports secdom from SRC, the `src` directory of a checkout, and measures the
-instance set SET, `solve` (the default) or `defence`.
+instance set SET, `solve` (the default), `defence` or `enum`.
 
 `solve` builds the checkout's `_kernel.c` into a temporary directory, and
 measures each instance of `INSTANCES` on both backends:
@@ -27,6 +28,12 @@ so each scan covers every attack pair.  Per size it stores the best of 5
 runs over the graphs with a table (`table`) and without one (`bare`), the
 attack pairs, the `defenders` calls of one scan of each graph with a table,
 and the sha256 of those tables, which must match between runs.
+
+`enum` times the generator of the test corpus: for each n of `ENUM_SIZES`,
+the best of `ENUM_REPEATS` runs of `list(connected_graphs(n,
+up_to_iso=True))`, the number of classes, the `_canonical_code` calls of one
+`_classes(n)`, and the sha256 of its code list, which must match between
+runs.
 
 The run is stored under LABEL in OUT's "runs", with the set's results under
 its name.  Runs under other labels, the other set of the same label and
@@ -74,6 +81,9 @@ DEFENCE_GRAPHS = 4
 DEFENCE_DEGREE = 6
 DEFENCE_SEED = 5
 
+ENUM_SIZES = range(5, 9)
+ENUM_REPEATS = 3
+
 
 def build_kernel(src, out):
     """The `_kernel` extension of the checkout at `src`, built into `out`."""
@@ -95,9 +105,9 @@ def build_kernel(src, out):
     return module
 
 
-def best_ms(fn):
+def best_ms(fn, repeats=REPEATS):
     best = float("inf")
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = perf_counter()
         fn()
         best = min(best, perf_counter() - start)
@@ -210,23 +220,49 @@ def measure_defence(secdom):
     return sizes
 
 
+def measure_enum(secdom):
+    from secdom import enumgraphs
+
+    sizes = {}
+    for n in ENUM_SIZES:
+        codes, calls = count_calls(
+            enumgraphs, ("_canonical_code",), lambda: enumgraphs._classes(n)
+        )
+        row = {
+            "classes": len(codes),
+            "enum_ms": best_ms(
+                lambda: list(enumgraphs.connected_graphs(n, up_to_iso=True)),
+                ENUM_REPEATS,
+            ),
+            "calls": calls,
+            "codes_sha256": hashlib.sha256(repr(codes).encode()).hexdigest(),
+        }
+        sizes[f"n={n}"] = row
+        print(f"n={n}", json.dumps(row), flush=True)
+    return sizes
+
+
 def main(argv):
     if len(argv) not in (3, 4):
         sys.exit(__doc__)
     label, src, out = argv[:3]
     which = argv[3] if len(argv) == 4 else "solve"
-    if which not in ("solve", "defence"):
-        sys.exit(f"unknown set {which!r}: choose solve or defence")
+    if which not in ("solve", "defence", "enum"):
+        sys.exit(f"unknown set {which!r}: choose solve, defence or enum")
     src = os.path.abspath(src)
     sys.path.insert(0, src)
     import secdom
 
+    repeats = REPEATS
     if which == "solve":
         with tempfile.TemporaryDirectory() as tmp:
             compiled = build_kernel(src, tmp)
             results = {"instances": measure(secdom, compiled)}
-    else:
+    elif which == "defence":
         results = {"defence": measure_defence(secdom)}
+    else:
+        results = {"enum": measure_enum(secdom)}
+        repeats = ENUM_REPEATS
     cpus = len(os.sched_getaffinity(0))
     doc = {"runs": {}}
     if os.path.exists(out):
@@ -236,7 +272,7 @@ def main(argv):
     run.update(
         python=platform.python_version(),
         cpus=cpus,
-        note=f"times in ms, best of {REPEATS}, wall clock on a {cpus}-CPU "
+        note=f"times in ms, best of {repeats}, wall clock on a {cpus}-CPU "
         "machine; only the counts carry over to other machines",
         **results,
     )

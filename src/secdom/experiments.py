@@ -8,7 +8,14 @@ from typing import Sequence, TextIO
 
 from .domination import DEFAULT_DOMINATION_BUDGET, DOMINATING, exact_minimum
 from .enumgraphs import connected_graphs
-from .gadgets import apx_gadget, check_family, generate, gs_graph, inapprox_gadget
+from .gadgets import (
+    apx_gadget,
+    check_family,
+    check_params,
+    generate,
+    gs_graph,
+    inapprox_gadget,
+)
 from .graphs import Graph
 from .secure import DEFAULT_2SDS_BUDGET, approx_2sds, exact_gamma_2s, verify_2sds
 
@@ -117,11 +124,13 @@ def ratio_instances(
 ) -> list[Graph]:
     """The instances of a `run_ratios` table.  Random families draw `trials`
     seeded samples at size n; deterministic families give one graph per size
-    up to n.  An unknown family, at every n, or a p outside (0, 1] raises
-    GraphError here, before any row is written."""
-    check_family(family)
+    up to n.  An unknown family, at every n, or a random family's n or p
+    that `generate` rejects raises GraphError here, before any row is
+    written, also when `trials` is 0."""
     if family in ("random-connected", "random-split"):
+        check_params(family, (n, p))
         return [generate(family, (n, p), seed=seed + t) for t in range(trials)]
+    check_family(family)
     low = 3 if family == "cycle" else 2
     return [generate(family, (size,)) for size in range(low, n + 1)]
 

@@ -149,6 +149,25 @@ def check_family(family: str) -> None:
         raise GraphError(f"unknown family {family!r}; choose from {_FAMILIES}")
 
 
+def check_params(family: str, params: Sequence[float]) -> None:
+    """Raise GraphError unless `generate` builds `family` from `params`: a
+    known family, a positive size, at least 3 vertices for a cycle, and for
+    the random families an edge probability p in (0, 1]."""
+    check_family(family)
+    if not params:
+        raise GraphError(f"family {family!r} needs at least a size parameter")
+    n = int(params[0])
+    if n < 1:
+        raise GraphError("size parameter must be positive")
+    if family == "cycle" and n < 3:
+        raise GraphError("a cycle needs at least 3 vertices")
+    if family in ("random-connected", "random-split"):
+        if len(params) < 2:
+            raise GraphError(f"family {family!r} needs (n, p)")
+        if not 0 < float(params[1]) <= 1:
+            raise GraphError("edge probability must be in (0, 1]")
+
+
 def generate(
     family: str, params: Sequence[float], seed: Optional[int] = None
 ) -> Graph:
@@ -157,20 +176,14 @@ def generate(
     Deterministic families take a single size parameter; star takes the leaf
     count, comb the tooth count (2n vertices).  random-connected and
     random-split take (n, p) and a seed, and are bit-reproducible for a fixed
-    seed.
+    seed.  `check_params` says which parameters are rejected.
     """
-    check_family(family)
-    if not params:
-        raise GraphError(f"family {family!r} needs at least a size parameter")
+    check_params(family, params)
     n = int(params[0])
-    if n < 1:
-        raise GraphError("size parameter must be positive")
 
     if family == "path":
         return build_graph(n, [(i, i + 1) for i in range(n - 1)])
     if family == "cycle":
-        if n < 3:
-            raise GraphError("a cycle needs at least 3 vertices")
         return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
     if family == "complete":
         return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -183,11 +196,7 @@ def generate(
         edges += [(i, n + i) for i in range(n)]
         return build_graph(2 * n, edges)
 
-    if len(params) < 2:
-        raise GraphError(f"family {family!r} needs (n, p)")
     p = float(params[1])
-    if not 0 < p <= 1:
-        raise GraphError("edge probability must be in (0, 1]")
     rng = random.Random(seed)
 
     if family == "random-connected":

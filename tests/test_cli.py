@@ -394,8 +394,11 @@ class TestExperiment:
             # no size of a deterministic family reaches the generator at n = 1
             ["--family", "bogus", "--n", "1"],
             ["--family", "random-connected", "--p", "0"],
+            # with no trials no graph is drawn, so n and p are checked first
+            ["--family", "random-connected", "--p", "0", "--trials", "0"],
+            ["--family", "random-split", "--n", "0", "--trials", "0"],
         ],
-        ids=["bogus-family", "bogus-family-n1", "p0"],
+        ids=["bogus-family", "bogus-family-n1", "p0", "p0-trials0", "n0-trials0"],
     )
 
     @rejected_ratios

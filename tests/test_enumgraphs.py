@@ -1,6 +1,10 @@
+import hashlib
+from itertools import permutations
+
 import pytest
 
-from secdom.enumgraphs import connected_graphs
+from secdom import enumgraphs
+from secdom.enumgraphs import _canonical_code, _classes, connected_graphs
 
 # connected graphs on n unlabeled vertices, OEIS A001349
 A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -20,6 +24,64 @@ def test_representatives_are_connected(classes):
         for G in reps:
             assert G.n == n
             assert G.is_connected()
+
+
+def sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_representatives_are_pinned(classes):
+    """The same representatives in the same order as the generator that
+    canonicalised every child."""
+    reps = [(n, G.edges) for n in sorted(classes) for G in classes[n]]
+    assert sha256(reps) == (
+        "9258d3746c0ba7407c3416c15ae91853aded80e1093072b78110e82bac3ac72c"
+    )
+
+
+def test_eight_vertices():
+    codes = _classes(8)
+    assert len(codes) == 11117  # OEIS A001349
+    assert sha256(codes) == (
+        "d05ca11caed8fd2918727c804c61123513963694a5e1b1065f5056b7d422ed90"
+    )
+
+
+def test_labellings_of_a_representative_are_its_automorphisms(classes):
+    """On a graph in canonical labelling, `_canonical_code` returns its code
+    and every automorphism, checked against all n! permutations."""
+    for n in range(1, 7):
+        for G in classes[n]:
+            edges = set(G.edges)
+            autos = {
+                s
+                for s in permutations(range(n))
+                if all(tuple(sorted((s[u], s[v]))) in edges for u, v in edges)
+            }
+            code, labellings = _canonical_code(list(G.closed_masks()))
+            assert G == enumgraphs.graph_from_mask(n, code)
+            assert len(labellings) == len(autos)
+            assert set(labellings) == autos, G.edges
+
+
+def test_canonical_code_calls(monkeypatch):
+    """A machine-independent guard on the orbit and degree rules:
+    `_classes(7)` canonicalises its 143 parents, for their automorphisms,
+    and 1,361 children, one per Aut(parent)-orbit of subsets that passes the
+    degree rule.  Without the rules that is all 7,815 children; 2,939 calls
+    without the orbit rule (or with each subset marking only itself), 4,302
+    without the degree rule."""
+    calls = 0
+    search = enumgraphs._canonical_code
+
+    def counted(masks):
+        nonlocal calls
+        calls += 1
+        return search(masks)
+
+    monkeypatch.setattr(enumgraphs, "_canonical_code", counted)
+    assert len(_classes(7)) == 853
+    assert calls == 1504
 
 
 def test_order_is_deterministic(classes):
