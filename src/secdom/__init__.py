@@ -20,7 +20,7 @@ from .domination import (
 )
 from .gadgets import GadgetResult, apx_gadget, generate, gs_graph, inapprox_gadget
 from .graphio import GraphParseError, graph_to_text, parse_graph, write_graph
-from .graphs import Graph, GraphError, build_graph, find_dpeo, has_maximum_neighbor
+from .graphs import Graph, GraphError, build_graph
 from .kernel import BACKEND as KERNEL_BACKEND
 from .secure import (
     DefenseCertificate,
@@ -54,14 +54,12 @@ __all__ = [
     "exact_gamma_2s",
     "exact_minimum",
     "find_defenders",
-    "find_dpeo",
     "first_failure",
     "generate",
     "graph_to_text",
     "greedy_2dominating",
     "greedy_dominating",
     "gs_graph",
-    "has_maximum_neighbor",
     "inapprox_gadget",
     "is_2dominating",
     "is_dominating",

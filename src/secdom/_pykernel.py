@@ -68,15 +68,13 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     `dead[p]` uncovered ends its prefix and every later sibling, whose picks
     lie above p too.
 
-    The first j picks' mask and the vertices with at least two and at least
-    three picks in their closed neighbourhood are kept per depth.  TWO_SDS
-    fills them on every push, as its prefix rule reads them.  TWO_DOM, which
-    reads the first two only, fills those lazily: only a dominating leaf
-    fills them, from the deepest depth still valid, and a push at depth j
-    marks every deeper depth stale.  The at-least-one layer of depth j is
-    `full & ~need[j]`.  So the dom scans pay one flag test and one
-    comparison per push, and the test gets the layers in O(1) per leaf of an
-    unchanged prefix.
+    The first j picks' mask and the vertices with at least two picks in
+    their closed neighbourhood are kept per depth, and for TWO_SDS, whose
+    test reads the exactly-two layer, also the vertices with at least three.
+    TWO_DOM and TWO_SDS fill them on every push; DOM, whose test is
+    domination itself, fills nothing.  The at-least-one layer of depth j is
+    `full & ~need[j]`.  So the test of a dominating leaf gets the layers in
+    O(1).
 
     D 2-dominates iff every vertex is in D or has two members of D in its
     closed neighbourhood, since N[v] & D = N(v) & D for v outside D: one OR
@@ -124,11 +122,11 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     last = k - 1
     picks = [0] * k
     need = [full] * k
-    sets = [0] * k  # the mask of the first j picks, valid for j <= valid
+    sets = [0] * k  # the mask of the first j picks
     twos = [0] * k
     threes = [0] * k
-    valid = 0
-    sds = kind == TWO_SDS  # fills sets, twos and threes on every push
+    fill = kind != DOM  # fills sets and twos on every push
+    sds = kind == TWO_SDS  # fills threes too, and runs the prefix rule
     failed: list[tuple[int, int]] = []  # for TWO_SDS, see `_is_2sds`
     j = p = 0
     while j >= 0:
@@ -140,12 +138,6 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
                     picks[j] = q
                     if kind == DOM:
                         return tuple(picks)
-                    if kind == TWO_DOM:
-                        while valid < last:
-                            nb = masks[picks[valid]]
-                            sets[valid + 1] = sets[valid] | 1 << picks[valid]
-                            twos[valid + 1] = twos[valid] | ~need[valid] & nb
-                            valid += 1
                     nb = masks[q]
                     smask = sets[last] | 1 << q
                     two = twos[last] | ~rest & nb
@@ -165,24 +157,23 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
         elif p < n - last + j:
             unc = rest & ~masks[p]
             if not unc & dead[p]:
-                if sds:
+                if fill:
                     nb = masks[p]
                     smask = sets[j] | 1 << p
                     two = twos[j] | ~rest & nb
-                    fin1 = dead[p] & ~(unc | two)
-                    fresh = fin1 & ~dead[picks[j - 1]] if j else fin1
-                    if fresh and _shares_sole_pick(masks, smask, fin1, fresh):
-                        # as the dead rule: the prefix ends with its later siblings
-                        j -= 1
-                        p = picks[j] + 1
-                        continue
+                    if sds:
+                        fin1 = dead[p] & ~(unc | two)
+                        fresh = fin1 & ~dead[picks[j - 1]] if j else fin1
+                        if fresh and _shares_sole_pick(masks, smask, fin1, fresh):
+                            # as the dead rule: the prefix ends with its later siblings
+                            j -= 1
+                            p = picks[j] + 1
+                            continue
+                        threes[j + 1] = threes[j] | twos[j] & nb
                     sets[j + 1] = smask
-                    threes[j + 1] = threes[j] | twos[j] & nb
                     twos[j + 1] = two
                 picks[j] = p
                 need[j + 1] = unc
-                if valid > j:
-                    valid = j
                 j += 1
                 p += 1
                 continue

@@ -45,7 +45,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, _connected, build_graph
 
 
 def edge_slots(n: int) -> list[tuple[int, int]]:
@@ -132,20 +132,6 @@ def _canonical_code(masks: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     return code, [placed for _, placed in partial]
 
 
-def _connected_without(masks: list[int], u: int) -> bool:
-    """Whether the graph of the closed-neighbourhood masks stays connected
-    once vertex u is removed."""
-    rest = ((1 << len(masks)) - 1) & ~(1 << u)
-    seen = frontier = rest & -rest
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = masks[low.bit_length() - 1] & rest & ~seen
-        seen |= new
-        frontier |= new
-    return seen == rest
-
-
 def _classes(n: int) -> list[int]:
     """Canonical codes of the connected graphs on n vertices up to
     isomorphism, ascending; the children canonicalised are cut by the orbit
@@ -153,6 +139,7 @@ def _classes(n: int) -> list[int]:
     if n <= 1:
         return [0]
     new = 1 << (n - 1)
+    full = (1 << n) - 1
     codes = set()
     for parent in _classes(n - 1):
         base = graph_from_mask(n - 1, parent).closed_masks()
@@ -167,7 +154,7 @@ def _classes(n: int) -> list[int]:
             masks.append(nbrs | new)
             size = masks[-1].bit_count()
             if any(
-                m.bit_count() < size and _connected_without(masks, v)
+                m.bit_count() < size and _connected(masks, full ^ (1 << v))
                 for v, m in enumerate(masks[:-1])
             ):
                 continue

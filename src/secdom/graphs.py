@@ -9,7 +9,7 @@ functions here are pure and safe to call from multiple threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -74,16 +74,7 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff a flood fill of the masks from vertex 0 reaches every vertex."""
-        if self.n == 0:
-            return True
-        seen = frontier = 1
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = self._masks[low.bit_length() - 1] & ~seen
-            seen |= new
-            frontier |= new
-        return seen == (1 << self.n) - 1
+        return _connected(self._masks, (1 << self.n) - 1)
 
     def closed_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of N[v]; the currency of the solver kernels."""
@@ -132,46 +123,17 @@ def check_vertex_set(G: Graph, S: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _maximum_neighbor(masks: Sequence[int], alive: int, v: int) -> Optional[int]:
-    """Least u in N[v] whose closed neighborhood contains N[w] for all w in
-    N[v], in the subgraph induced by the vertices of the mask `alive`."""
-    closed = masks[v] & alive
-    nbrs = [w for w in range(len(masks)) if closed >> w & 1]
-    for u in nbrs:
-        if all(masks[w] & alive & ~masks[u] == 0 for w in nbrs):
-            return u
-    return None
 
-
-def has_maximum_neighbor(G: Graph, v: int) -> Optional[int]:
-    """Least u in N[v] whose closed neighborhood contains N[w] for all w in N[v]."""
-    G._check_vertex(v)
-    return _maximum_neighbor(G.closed_masks(), (1 << G.n) - 1, v)
-
-
-def find_dpeo(G: Graph) -> Optional[tuple[int, ...]]:
-    """Greedy doubly-simplicial peel.
-
-    Repeatedly removes the least-indexed vertex that is simplicial and has a
-    maximum neighbor in the current induced subgraph.  Returns the removal
-    order if all vertices peel, None otherwise.  A successful ordering is
-    self-certifying: replaying the peel re-validates every step.
-    """
-    masks = G.closed_masks()
-    alive = (1 << G.n) - 1
-    order: list[int] = []
-    while alive:
-        for v in range(G.n):
-            closed = masks[v] & alive
-            # simplicial: N[v] lies in the closed neighborhood of each member
-            if (
-                alive >> v & 1
-                and all(closed & ~masks[w] == 0 for w in range(G.n) if closed >> w & 1)
-                and _maximum_neighbor(masks, alive, v) is not None
-            ):
-                break
-        else:
-            return None
-        order.append(v)
-        alive &= ~(1 << v)
-    return tuple(order)
+def _connected(masks: Sequence[int], within: int) -> bool:
+    """Whether a flood fill of the closed-neighbourhood `masks`, kept inside
+    the vertex mask `within` and started at its least vertex, reaches every
+    vertex of `within`: whether `within` induces a connected subgraph.  True
+    for an empty `within`."""
+    seen = frontier = within & -within
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks[low.bit_length() - 1] & within & ~seen
+        seen |= new
+        frontier |= new
+    return seen == within

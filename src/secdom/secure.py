@@ -75,6 +75,8 @@ def find_defenders(
 
     Requires v1 in N[u1] and v2 in N[u2], both in S, v1 != v2, and the
     swapped set (S - {v1,v2}) + {u1,u2} dominating.  None if no pair works.
+    No solve or verify path calls it; it stays as the public one-pair query,
+    and perfbench's tracer wraps it by name.
     """
     if u1 == u2:
         raise ValueError("attack vertices must be distinct")

@@ -123,6 +123,12 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("size", ["inf", "1e400", "nan"])
+    def test_non_finite_size_is_input_error(self, capsys, size):
+        code, out, err = run(capsys, "gen", "path", size)
+        assert (code, out) == (2, "")
+        assert err == "error: size parameter must be finite\n"
+
 
 class TestVerify:
     def test_positive(self, capsys, p3_file):

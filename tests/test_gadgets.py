@@ -151,3 +151,8 @@ class TestGenerate:
             generate("path", (0,))
         with pytest.raises(GraphError):
             generate("random-connected", (5, 1.5), seed=1)
+
+    @pytest.mark.parametrize("size", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_size_rejected(self, size):
+        with pytest.raises(GraphError, match="finite"):
+            generate("path", (size,))

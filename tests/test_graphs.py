@@ -1,9 +1,8 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from secdom import GraphError, build_graph, find_dpeo, has_maximum_neighbor
-from secdom.enumgraphs import connected_graphs
+from secdom import GraphError, build_graph
 from util import K1, K3, complete, cycle, open_neighbourhoods, path, star
 
 
@@ -108,65 +107,3 @@ class TestConnectivityAndDegree:
         assert cycle(5).max_degree() == 2
         assert complete(4).max_degree() == 3
 
-
-class TestMaximumNeighbor:
-    def test_p4_endpoint(self):
-        assert has_maximum_neighbor(path(4), 0) == 1
-
-    def test_c4_has_none(self):
-        assert has_maximum_neighbor(cycle(4), 0) is None
-
-    def test_complete_graph_least(self):
-        assert has_maximum_neighbor(K3, 0) == 0
-
-
-class TestDpeo:
-    def test_p4(self):
-        assert find_dpeo(path(4)) == (0, 1, 2, 3)
-
-    def test_c4_absent(self):
-        assert find_dpeo(cycle(4)) is None
-
-    def test_k5(self):
-        assert find_dpeo(complete(5)) == (0, 1, 2, 3, 4)
-
-    def test_induced_c4_blocks(self):
-        # C4 plus a pendant vertex still contains the induced 4-cycle
-        G = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-        assert find_dpeo(G) is None
-
-    @given(small_graphs())
-    @settings(max_examples=60)
-    def test_orderings_self_certify(self, G):
-        assert find_dpeo(G) == literal_peel(G)
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_literal_peel_on_small_classes(self, n):
-        for G in connected_graphs(n, up_to_iso=True):
-            assert find_dpeo(G) == literal_peel(G), G.edges
-
-
-def literal_peel(G):
-    """The greedy peel with plain sets: remove the least vertex that is
-    doubly simplicial (simplicial, with a maximum neighbor) in what is left,
-    while there is one.  The removal order, or None if a vertex stays."""
-
-    def closed_in(alive, v):
-        return {v} | (open_neighbourhoods(G)[v] & alive)
-
-    def doubly_simplicial(alive, v):
-        closed = closed_in(alive, v)
-        return all(closed <= closed_in(alive, w) for w in closed) and any(
-            all(closed_in(alive, w) <= closed_in(alive, u) for w in closed)
-            for u in closed
-        )
-
-    alive = set(range(G.n))
-    order = []
-    while alive:
-        peelable = [v for v in sorted(alive) if doubly_simplicial(alive, v)]
-        if not peelable:
-            return None
-        order.append(peelable[0])
-        alive.remove(peelable[0])
-    return tuple(order)

@@ -538,38 +538,43 @@ class TestKernelBackends:
             _pykernel.witness(masks, 1, kind)
 
     # The count of a flat scan of the k-combinations: none for k < 0 or
-    # k > n, and the empty set, once, for k = 0.
-    @pytest.mark.parametrize("k", [-1, 4])
-    def test_pure_level_outside_range_examines_nothing(self, k, monkeypatch):
+    # k > n, and the empty set, once, for k = 0.  Both backends run the same
+    # checks, each given by its fixture, which `kernel.solve_level` takes.
+    @pytest.fixture
+    def pure(self, monkeypatch):
         monkeypatch.setattr(kernel, "_kernel", None)
+        return _pykernel
+
+    @staticmethod
+    def assert_outside_range_examines_nothing(backend, k):
         masks = list(path(3).closed_masks())
         for kind in KINDS:
-            assert _pykernel.witness(masks, k, kind) is None
+            assert backend.witness(masks, k, kind) is None
             assert kernel.solve_level(masks, k, kind) == (None, 0)
+
+    @staticmethod
+    def assert_zero_examines_the_empty_set(backend):
+        masks = list(path(3).closed_masks())
+        for kind in KINDS:
+            assert backend.witness(masks, 0, kind) is None
+            assert kernel.solve_level(masks, 0, kind) == (None, 1)
+            # the empty set dominates the empty graph, and is of every kind
+            assert backend.witness([], 0, kind) == ()
+            assert kernel.solve_level([], 0, kind) == ((), 1)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_pure_level_outside_range_examines_nothing(self, k, pure):
+        self.assert_outside_range_examines_nothing(pure, k)
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_compiled_level_outside_range_examines_nothing(self, k, compiled):
-        masks = list(path(3).closed_masks())
-        for kind in KINDS:
-            assert compiled.witness(masks, k, kind) is None
-            assert kernel.solve_level(masks, k, kind) == (None, 0)
+        self.assert_outside_range_examines_nothing(compiled, k)
 
-    def test_pure_level_zero_examines_the_empty_set(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_kernel", None)
-        masks = list(path(3).closed_masks())
-        for kind in KINDS:
-            assert _pykernel.witness(masks, 0, kind) is None
-            assert kernel.solve_level(masks, 0, kind) == (None, 1)
-            # the empty set dominates the empty graph, and is of every kind
-            assert _pykernel.witness([], 0, kind) == ()
-            assert kernel.solve_level([], 0, kind) == ((), 1)
+    def test_pure_level_zero_examines_the_empty_set(self, pure):
+        self.assert_zero_examines_the_empty_set(pure)
 
     def test_compiled_level_zero_examines_the_empty_set(self, compiled):
-        masks = list(path(3).closed_masks())
-        for kind in KINDS:
-            assert compiled.witness(masks, 0, kind) is None
-            assert kernel.solve_level(masks, 0, kind) == (None, 1)
-            assert kernel.solve_level([], 0, kind) == ((), 1)
+        self.assert_zero_examines_the_empty_set(compiled)
 
     # The solves of the exact-solve benchmark workload that fit the default
     # budgets: name -> (graph, problem).
