@@ -35,7 +35,19 @@
      stay private to v, and with v = p both stay undominated.  Only the
      vertices of fin1 outside dead[picks[j - 1]] are looked up; the parent
      checked the older ones, whose count p did not change.  The proof is in
-     full in `_pykernel.witness`.
+     full in `_pykernel.witness`;
+   - two lower bounds, as in `_pykernel.witness`, where they are proved.
+     The loop that reads the masks runs from vertex n - 1 down to 0 and
+     takes a greedy 2-packing, vertices whose closed neighbourhoods are
+     pairwise disjoint, each vertex whose neighbourhood misses those taken
+     so far; it also finds `widest`, the largest |N[v]|.  No pick covers two
+     packing vertices, so the level is empty when the packing has more than
+     k vertices, and a pushed node, but not its later siblings, is skipped
+     when it leaves more packing vertices uncovered than picks remain (only
+     tested when the packing has two or more).  A set of k vertices covers
+     at most k * widest incidences, so the level is empty for dom when
+     k * widest < n, and for 2dom and 2-SDS, where all but at most k
+     vertices need two members of the set, when k * (widest + 1) < 2n.
 
    `kernel.solve_level` picks this module or `_pykernel` and computes the
    count of k-combinations examined, the witness's lex position, for either
@@ -185,9 +197,9 @@ static PyObject *witness(PyObject *self, PyObject *args)
         PyErr_Format(PyExc_ValueError, "at most %d masks, got %zd", MAX_N, size);
         return NULL;
     }
-    int n = (int)size;
-    u64 full = n == MAX_N ? ~(u64)0 : BIT(n) - 1;
-    for (int v = 0; v < n; v++) {
+    int n = (int)size, widest = 0;
+    u64 full = n == MAX_N ? ~(u64)0 : BIT(n) - 1, packing = 0, covered = 0;
+    for (int v = n - 1; v >= 0; v--) {
         u64 m = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(seq, v));
         if (m == (u64)-1 && PyErr_Occurred()) {
             Py_DECREF(seq);
@@ -200,17 +212,28 @@ static PyObject *witness(PyObject *self, PyObject *args)
         }
         masks[v] = m;
         dead[HIGH(m | 1)] |= BIT(v); /* a vertex no pick covers is dead anywhere */
+        if (!(m & covered)) {
+            packing |= BIT(v);
+            covered |= m;
+        }
+        int size = __builtin_popcountll(m);
+        if (size > widest)
+            widest = size;
     }
     Py_DECREF(seq);
     if (k < 0 || k > n || (k == 0 && n > 0))
         Py_RETURN_NONE; /* no k-subset, or the empty set, which dominates nothing */
     if (k == 0)
         return PyTuple_New(0); /* the empty graph: no vertex to cover or attack */
+    if (__builtin_popcountll(packing) > k ||
+        (kind == DOM ? k * widest < n : k * (widest + 1) < 2 * n))
+        Py_RETURN_NONE; /* the packing and degree bounds */
     for (int p = 1; p < n; p++)
         dead[p] |= dead[p - 1];
 
     int last = (int)k - 1, j = 0, p = 0;
     unsigned long nodes = 0;
+    int packed = __builtin_popcountll(packing) > 1; /* the packing bound can cut */
     need[0] = full;
     chosen[0] = two[0] = three[0] = 0;
     failed.len = 0;
@@ -244,6 +267,10 @@ static PyObject *witness(PyObject *self, PyObject *args)
                 !(kind == TWO_SDS &&
                   shares_sole_pick(masks, smask, fin1,
                                    j ? fin1 & ~dead[picks[j - 1]] : fin1))) {
+                if (packed && __builtin_popcountll(unc & packing) > last - j) {
+                    p++; /* the packing bound: this node only */
+                    continue;
+                }
                 picks[j] = p;
                 need[j + 1] = unc;
                 chosen[j + 1] = smask;

@@ -16,6 +16,14 @@ closed neighbourhood at or below the last pick: no later pick can cover it.
 It carries the layers of the picks down its path, so the test of its kind
 reads the layers of a dominating leaf in O(1).
 
+Two lower bounds on the size of a set of any of the three kinds, each of
+which dominates, prove levels and prefixes empty before any search: the
+2-packing bound rho(G) <= gamma(G) (Meir and Moon, 1975), on the level and
+on every prefix, and a degree count on the level.  Each cuts only levels
+and subtrees that hold no set of the kind, so the witnesses, and the
+dominating leaves the search tests, are those of the search without them
+(proofs in `witness`).
+
 For 2-SDS it also applies the shared-sole-defender rule: a dominating S in
 which two vertices have the same single member v of S in their closed
 neighbourhoods is not a 2-SDS, since the attack on those two needs two
@@ -68,11 +76,45 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     `dead[p]` uncovered ends its prefix and every later sibling, whose picks
     lie above p too.
 
+    The 2-packing bound.  The loop that fills `dead` runs from vertex n - 1
+    down to 0 and builds a greedy 2-packing P: it takes a vertex when its
+    closed neighbourhood misses those of the vertices taken, so the closed
+    neighbourhoods of P are pairwise disjoint.  A pick w covers u iff w is in
+    N[u], so no pick covers two vertices of P: a dominating set has at least
+    |P| members, and the level is empty when |P| > k.  After the push of
+    pick p at depth j, k - j - 1 = last - j picks remain, and each covers at
+    most one of the vertices of P that the prefix leaves uncovered: when
+    there are more than last - j, the node holds no dominating completion
+    and is skipped, but not its later siblings, which may cover other
+    vertices of P.  The test runs only when |P| >= 2, since an interior
+    node has at least one pick left.  The highest id goes first because the
+    dead rule catches uncovered vertices of low id early: the packing covers
+    the vertices it catches last.
+
+    The degree bound.  Let widest be the largest |N[v]|.  The sum of |N[v]|
+    over v in S counts each vertex u once per member of S in N[u], and is at
+    most k * widest.  For DOM every vertex counts at least once, so the
+    level is empty when k * widest < n.  For TWO_DOM and TWO_SDS every
+    vertex counts at least twice, except at most k vertices that count
+    once, so the sum is at least 2n - k and the level is empty when
+    k * (widest + 1) < 2n.  For TWO_DOM, a vertex outside D has two members
+    of D in its closed neighbourhood, so only the members of D can count
+    once.  For TWO_SDS, a vertex that counts once is private to its one
+    member v of S, and by the shared-sole-defender rule below each v has
+    at most one private vertex.
+
+    Both bounds cut only what holds no set of the kind, and the search
+    visits the rest in the same lex order, so the witness and the
+    dominating leaves tested are those of the search without them.  The
+    prefix test runs after the dead rule and the shared-sole-defender rule
+    of the same push, which also end the later siblings, so it takes none
+    of their cuts away.
+
     The first j picks' mask and the vertices with at least two picks in
     their closed neighbourhood are kept per depth, and for TWO_SDS, whose
     test reads the exactly-two layer, also the vertices with at least three.
     TWO_DOM and TWO_SDS fill them on every push; DOM, whose test is
-    domination itself, fills nothing.  The at-least-one layer of depth j is
+    domination itself, keeps none.  The at-least-one layer of depth j is
     `full & ~need[j]`.  So the test of a dominating leaf gets the layers in
     O(1).
 
@@ -115,17 +157,32 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     if k <= 0 or k > n:
         return () if k == 0 and full == 0 else None
     dead = [0] * n
-    for v, m in enumerate(masks):
-        dead[m.bit_length() - 1] |= 1 << v
-    for p in range(1, n):
-        dead[p] |= dead[p - 1]
+    packing = covered = widest = 0
+    bit = 1 << n
+    for m in reversed(masks):
+        bit >>= 1
+        dead[m.bit_length() - 1] |= bit
+        if not m & covered:
+            packing |= bit
+            covered |= m
+        if m.bit_count() > widest:
+            widest = m.bit_count()
+    if packing.bit_count() > k or (
+        k * widest < n if kind == DOM else k * (widest + 1) < 2 * n
+    ):
+        return None
+    below = 0
+    for p in range(n):
+        below = dead[p] = below | dead[p]
+    packed = packing & (packing - 1)  # two or more: the packing bound can cut
     last = k - 1
     picks = [0] * k
     need = [full] * k
-    sets = [0] * k  # the mask of the first j picks
-    twos = [0] * k
-    threes = [0] * k
     fill = kind != DOM  # fills sets and twos on every push
+    if fill:
+        sets = [0] * k  # the mask of the first j picks
+        twos = [0] * k
+        threes = [0] * k
     sds = kind == TWO_SDS  # fills threes too, and runs the prefix rule
     failed: list[tuple[int, int]] = []  # for TWO_SDS, see `_is_2sds`
     j = p = 0
@@ -172,6 +229,9 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
                         threes[j + 1] = threes[j] | twos[j] & nb
                     sets[j + 1] = smask
                     twos[j + 1] = two
+                if packed and (unc & packing).bit_count() > last - j:
+                    p += 1  # the packing bound: this node only
+                    continue
                 picks[j] = p
                 need[j + 1] = unc
                 j += 1

@@ -127,6 +127,11 @@ def exact_minimum(
 
     `kernel.least_set` scans the levels from size 0, so the 2-domination
     test runs only on dominating subsets (every 2-dominating set dominates).
+    A level below n / widest (dominating) or 2n / (widest + 1)
+    (2-dominating), with widest the largest closed neighbourhood, or below
+    the size of a greedy 2-packing, is proved empty without a search, and a
+    prefix is dropped when it leaves more vertices of the packing uncovered
+    than picks remain (proofs in `_pykernel.witness`).
     Among minimum sets the lexicographically least is reported.  Refuses
     instances over the enumeration budget rather than degrading silently.
     """

@@ -151,14 +151,16 @@ def check_family(family: str) -> None:
 
 def check_params(family: str, params: Sequence[float]) -> None:
     """Raise GraphError unless `generate` builds `family` from `params`: a
-    known family, a finite positive size, at least 3 vertices for a cycle,
-    and for the random families an edge probability p in (0, 1]."""
+    known family, a finite positive whole size, at least 3 vertices for a
+    cycle, and for the random families an edge probability p in (0, 1]."""
     check_family(family)
     if not params:
         raise GraphError(f"family {family!r} needs at least a size parameter")
     if not math.isfinite(params[0]):
         raise GraphError("size parameter must be finite")
     n = int(params[0])
+    if n != params[0]:
+        raise GraphError("size parameter must be a whole number")
     if n < 1:
         raise GraphError("size parameter must be positive")
     if family == "cycle" and n < 3:

@@ -131,10 +131,13 @@ def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
     """Minimum 2-SDS by size-increasing enumeration.
 
     Starts at size 2; candidates are pruned to dominating sets before the
-    pair check, so the levels below gamma(G) find none.  A dominating
+    pair check.  A level below 2n / (widest + 1), with widest the largest
+    closed neighbourhood, or below the size of a greedy 2-packing, is proved
+    empty without a search, and a prefix is dropped when it leaves more
+    vertices of the packing uncovered than picks remain.  A dominating
     candidate, and every prefix that leads only to such candidates, is also
     dropped when two vertices u1, u2 have N[u1] & S = N[u2] & S = {v}, since
-    the attack (u1, u2) needs two distinct defenders (proof in
+    the attack (u1, u2) needs two distinct defenders (proofs in
     `_pykernel.witness`).  Always terminates:
     V itself is a 2-SDS of a connected graph.  The witness is the
     lexicographically least minimum set and ships with its defense

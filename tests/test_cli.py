@@ -129,6 +129,17 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err == "error: size parameter must be finite\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("path", "2.7"), ("random-connected", "3.5", "0.5", "--seed", "1")],
+    )
+    def test_fractional_size_is_input_error(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "g.txt"
+        code, out, err = run(capsys, "gen", *argv, "-o", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == "error: size parameter must be a whole number\n"
+        assert not out_file.exists()
+
 
 class TestVerify:
     def test_positive(self, capsys, p3_file):

@@ -156,3 +156,13 @@ class TestGenerate:
     def test_non_finite_size_rejected(self, size):
         with pytest.raises(GraphError, match="finite"):
             generate("path", (size,))
+
+    @pytest.mark.parametrize(
+        "family, params", [("path", (2.7,)), ("random-connected", (3.5, 0.5))]
+    )
+    def test_fractional_size_rejected(self, family, params):
+        with pytest.raises(GraphError, match="whole number"):
+            generate(family, params, seed=1)
+        # a whole size given as a float builds the graph
+        whole = (float(int(params[0])),) + params[1:]
+        assert generate(family, whole, seed=1).n == int(params[0])

@@ -735,6 +735,15 @@ class TestLevelScan:
         assert (report.value, report.subsets_examined) == (12, 792393)
         assert calls == {"_is_2sds": 1621, "first_undefended": 2, "defenders": 0}
 
+    def test_defence_calls_of_cycle20(self, monkeypatch):
+        """The degree bound at work on C20: every level below 10 holds fewer
+        than 2n / (widest + 1) = 10 vertices, so no search runs there, and
+        the pure exact solve tests 213 dominating leaves (229 without the
+        bound, whose level 9 searches to the end)."""
+        report, calls = self.count_calls(monkeypatch, generate("cycle", (20,)))
+        assert (report.value, report.subsets_examined) == (10, 491169)
+        assert calls == {"_is_2sds": 213, "first_undefended": 3, "defenders": 1}
+
 
 class TestSharedSoleDefender:
     """The leaf rule of the 2-SDS test: a dominating S is rejected before any
@@ -775,3 +784,103 @@ class TestSharedSoleDefender:
                     assert not oracle_is_2sds(G, S), (G.edges, S)
         # K1, the one graph of classes-n1, has no two vertices to share one
         assert fired or graphs == "classes-n1"
+
+
+class TestLowerBounds:
+    """The 2-packing and degree bounds of the level scan where they are
+    tight, on both backends: they return None exactly on the levels that
+    hold no set of the kind, and leave every witness as the flat scan finds
+    it."""
+
+    @pytest.fixture(params=["pure", "compiled"])
+    def backend(self, request):
+        if request.param == "pure":
+            return _pykernel
+        return request.getfixturevalue("compiled_kernel")
+
+    # kind -> (the flat scan's `accept`, the least size of the kind on C_n)
+    CYCLE = {
+        kernel.DOM: (None, lambda n: -(-n // 3)),
+        kernel.TWO_DOM: (TestLevelScan.PREDICATES["2dom"], lambda n: -(-n // 2)),
+        kernel.TWO_SDS: (is_2sds, lambda n: -(-n // 2)),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cycles(self, backend, kind):
+        """C_n has widest = 3, so the degree bound proves every level below
+        ceil(n/3) empty for dom, and below ceil(n/2) for 2dom and 2-SDS: the
+        least size of each kind."""
+        accept, least = self.CYCLE[kind]
+        for n in range(4, 17):
+            masks = list(cycle(n).closed_masks())
+            gamma = least(n)
+            assert reference_first_subset(masks, gamma - 1, accept)[0] is None, n
+            witness, _ = reference_first_subset(masks, gamma, accept)
+            assert witness is not None, n
+            assert backend.witness(masks, gamma, kind) == witness, n
+            assert backend.witness(masks, gamma - 1, kind) is None, n
+
+    def test_combs(self, backend):
+        """The k teeth of comb_k form a 2-packing, so dom level k - 1 is
+        empty, and at level k every pick must cover a tooth of its own: the
+        spine is the witness."""
+        for k in range(3, 13):
+            masks = list(generate("comb", (k,)).closed_masks())
+            assert backend.witness(masks, k - 1, kernel.DOM) is None, k
+            assert backend.witness(masks, k, kernel.DOM) == tuple(range(k)), k
+
+    def test_compiled_bound_runs_before_the_search(self, compiled_kernel):
+        """C64 has 2dom and 2-SDS number 32, and the degree bound proves
+        level 31 empty at once; the compiled search of that level runs for
+        seconds.  An alarm whose handler raises (as Ctrl-C's does) stops a
+        scan that searches."""
+
+        class Searched(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Searched
+
+        masks = list(cycle(64).closed_masks())
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            for kind in (kernel.TWO_DOM, kernel.TWO_SDS):
+                assert compiled_kernel.witness(masks, 31, kind) is None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    class Reads(list):
+        """Masks that count the reads by index, which only the search makes:
+        the bounds read the masks by iteration."""
+
+        def __init__(self, masks):
+            super().__init__(masks)
+            self.reads = 0
+
+        def __getitem__(self, i):
+            self.reads += 1
+            return super().__getitem__(i)
+
+    def test_bounds_run_before_the_search(self):
+        """The pure scan returns None on the tight levels above without
+        searching them."""
+        for n in range(4, 17):
+            masks = self.Reads(cycle(n).closed_masks())
+            for kind, (_, least) in self.CYCLE.items():
+                assert _pykernel.witness(masks, least(n) - 1, kind) is None
+            assert masks.reads == 0, n
+        for k in range(3, 13):
+            masks = self.Reads(generate("comb", (k,)).closed_masks())
+            assert _pykernel.witness(masks, k - 1, kernel.DOM) is None
+            assert masks.reads == 0, k
+
+    def test_packing_bound_cuts_a_prefix(self):
+        """P12 has the 2-packing {11, 8, 5, 2} and domination number 4, so
+        at dom level 4 every pick must cover a packing vertex no earlier pick
+        covers: the search of the level reads 11 masks (103 without the cut
+        of each prefix that misses one)."""
+        masks = self.Reads(path(12).closed_masks())
+        assert _pykernel.witness(masks, 4, kernel.DOM) == (1, 4, 7, 10)
+        assert masks.reads == 11
