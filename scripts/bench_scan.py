@@ -32,8 +32,8 @@ and the sha256 of those tables, which must match between runs.
 `enum` times the generator of the test corpus: for each n of `ENUM_SIZES`,
 the best of `ENUM_REPEATS` runs of `list(connected_graphs(n,
 up_to_iso=True))`, the number of classes, the `_canonical_code` calls of one
-`_classes(n)`, and the sha256 of its code list, which must match between
-runs.
+`_classes(n)` and the labellings those calls return, and the sha256 of its
+code list, which must match between runs.
 
 The run is stored under LABEL in OUT's "runs", with the set's results under
 its name.  Runs under other labels, the other set of the same label and
@@ -225,16 +225,29 @@ def measure_enum(secdom):
 
     sizes = {}
     for n in ENUM_SIZES:
-        codes, calls = count_calls(
-            enumgraphs, ("_canonical_code",), lambda: enumgraphs._classes(n)
-        )
+        search = enumgraphs._canonical_code
+        calls = labellings = 0
+
+        def counted(masks):
+            nonlocal calls, labellings
+            calls += 1
+            code, found = search(masks)
+            labellings += len(found)
+            return code, found
+
+        enumgraphs._canonical_code = counted
+        try:
+            codes = enumgraphs._classes(n)
+        finally:
+            enumgraphs._canonical_code = search
         row = {
             "classes": len(codes),
             "enum_ms": best_ms(
                 lambda: list(enumgraphs.connected_graphs(n, up_to_iso=True)),
                 ENUM_REPEATS,
             ),
-            "calls": calls,
+            "calls": {"_canonical_code": calls},
+            "labellings": labellings,
             "codes_sha256": hashlib.sha256(repr(codes).encode()).hexdigest(),
         }
         sizes[f"n={n}"] = row

@@ -43,9 +43,9 @@ def _fmt_set(S) -> str:
 
 def _print_certificate(cert) -> None:
     # one write; a certificate covers all C(n, 2) >= 1 attack pairs of the
-    # vertices 0..n-1, the last in lex order (n-2, n-1), and each vertex id
-    # is converted to text once
-    items = sorted(cert.entries.items())
+    # vertices 0..n-1, entered in lex order by `_scan_2sds`, so the last is
+    # (n-2, n-1), and each vertex id is converted to text once
+    items = list(cert.entries.items())
     ids = [str(v) for v in range(items[-1][0][1] + 1)]
     print("\n".join([
         f"defend.{ids[u1]},{ids[u2]}={ids[v1]},{ids[v2]}"

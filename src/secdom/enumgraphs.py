@@ -22,10 +22,12 @@ of codes, so the representatives and their order stay the same.
 - Orbit rule.  For a parent P and an automorphism s of P, the children P + X
   and P + s(X) are isomorphic: s, extended by the new vertex to itself, maps
   one onto the other.  So the subsets X are walked in ascending mask order,
-  each processed X marks its images s(X) under all of Aut(P), and a marked X
-  is skipped; each Aut(P)-orbit of subsets is processed once, at its least
-  member.  Aut(P) costs nothing extra: P is built from its code, so it is in
-  canonical labelling, and `_canonical_code` of P returns it (see there).
+  each processed X marks its whole Aut(P)-orbit, and a marked X is skipped;
+  each Aut(P)-orbit of subsets is processed once, at its least member.  The
+  orbit is the closure of X under generators of Aut(P), which cost little:
+  P is built from its code, so it is in canonical labelling, and the
+  labellings that `_canonical_code` of P returns generate Aut(P) with P's
+  twin transpositions (see the twin rule).
 - Degree rule.  A child is kept only when no vertex other than the new one
   is both a non-cut vertex of the child and of smaller degree in it.  This
   loses no class: in a class C on n >= 2 vertices, pick a non-cut vertex w of
@@ -38,14 +40,27 @@ of codes, so the representatives and their order stay the same.
   cut vertices, which isomorphisms keep, and the isomorphism of the orbit
   rule maps the new vertex to the new vertex, so all children of one orbit
   get the same verdict and the orbit's least member stands for it.
+
+Twin rule.  Two vertices a < b are twins when N[a] = N[b] (closed twins) or
+N(a) = N(b) (open twins); the transposition (a b) is then an automorphism.
+While `_canonical_code` places a label, it skips a free candidate b that has
+a free twin a < b: (a b) fixes every vertex placed so far and maps the
+subtree under a onto the subtree under b, so both read the same words and
+the least mask is unchanged.  The labellings it returns for a graph in
+canonical labelling are then automorphisms that, with the twin
+transpositions, generate Aut(G): an automorphism that the rule skips at some
+label becomes, composed with the twin transposition there, one that places
+a lower vertex at that label and the same vertices above it, so a chain of
+such steps ends at a returned labelling.  The orbit rule marks each orbit as
+its closure under these generators.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .graphs import Graph, _connected, build_graph
+from .graphs import Graph, GraphError, _checked_graph, _connected
 
 
 def edge_slots(n: int) -> list[tuple[int, int]]:
@@ -53,8 +68,11 @@ def edge_slots(n: int) -> list[tuple[int, int]]:
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
     slots = edge_slots(n)
-    return build_graph(n, [slots[i] for i in range(len(slots)) if (mask >> i) & 1])
+    # the slots are in range, loop-free and distinct, so skip Graph's checks
+    return _checked_graph(n, [slots[i] for i in range(len(slots)) if (mask >> i) & 1])
 
 
 def _refined_cells(masks: list[int]) -> list[int]:
@@ -64,9 +82,10 @@ def _refined_cells(masks: list[int]) -> list[int]:
 
     Each round splits every cell by its vertices' neighbour counts in every
     cell and orders the new cells by (old cell, counts); the partition is
-    equitable once a round splits nothing.  Counting each vertex in its own
-    closed neighbourhood adds the same 1 to every member of a cell, so it
-    changes neither the splits nor the order.
+    equitable once a round splits nothing, or at once when every cell is a
+    single vertex, since such a partition cannot split.  Counting each vertex
+    in its own closed neighbourhood adds the same 1 to every member of a
+    cell, so it changes neither the splits nor the order.
     """
     n = len(masks)
     key: list = [m.bit_count() for m in masks]
@@ -75,6 +94,8 @@ def _refined_cells(masks: list[int]) -> list[int]:
         cells = [0] * len(rank)
         for v in range(n):
             cells[rank[key[v]]] |= 1 << v
+        if len(cells) == n:
+            return cells
         key = [
             (rank[k], *[(m & c).bit_count() for c in cells])
             for k, m in zip(key, masks)
@@ -83,10 +104,26 @@ def _refined_cells(masks: list[int]) -> list[int]:
             return cells
 
 
+def _twins(masks: list[int]) -> list[int]:
+    """For each vertex v, the mask of its twins of lower id: the a < v with
+    N[a] = N[v] or N(a) = N(v)."""
+    closed: dict[int, int] = {}
+    open_: dict[int, int] = {}
+    lower = []
+    for v, m in enumerate(masks):
+        bit = 1 << v
+        a, b = closed.get(m, 0), open_.get(m ^ bit, 0)
+        lower.append(a | b)
+        closed[m] = a | bit
+        open_[m ^ bit] = b | bit
+    return lower
+
+
 def _canonical_code(masks: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     """Least edge-slot mask over the labelings that give cell i of the
     refined partition the i-th block of labels, and the labelings that reach
-    it, each as the tuple of the vertices at labels 0, 1, ..., n-1.
+    it and pass the twin rule of the module docstring, each as the tuple of
+    the vertices at labels 0, 1, ..., n-1.
 
     Labels are placed from n-1 down.  Placing label p fixes the slots (p, q)
     with q > p, which outrank every slot of a lower label, so the least mask
@@ -95,16 +132,19 @@ def _canonical_code(masks: list[int]) -> tuple[int, list[tuple[int, ...]]]:
 
     When the graph is already in canonical labelling (its own mask is its
     code, as for every graph built by `graph_from_mask(n, code)`), the
-    labelings returned are exactly Aut(G), the tuple of s being
-    (s(0), ..., s(n-1)): the identity reaches the least mask, since each
-    cell is its block of labels; two labelings that read the same mask differ
-    by an automorphism; and every automorphism keeps the cells, which are
-    built from invariants, so it is one of the labelings tried.
+    labelings returned are automorphisms, the tuple of s being
+    (s(0), ..., s(n-1)), and with the transpositions of twins they generate
+    Aut(G): the identity reaches the least mask, since each cell is its block
+    of labels; two labelings that read the same mask differ by an
+    automorphism; every automorphism keeps the cells, which are built from
+    invariants, so it is one of the labelings tried; and the twin rule skips
+    only automorphisms that twin transpositions carry to returned ones.
     """
     n = len(masks)
     allowed = []
     for cell in _refined_cells(masks):
         allowed += [cell] * cell.bit_count()
+    twins = _twins(masks)
     # each partial labeling: (vertices used, vertices at labels p+1, p+2, ...)
     partial: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     code = 0
@@ -112,11 +152,13 @@ def _canonical_code(masks: list[int]) -> tuple[int, list[tuple[int, ...]]]:
         best = -1
         survivors: list[tuple[int, tuple[int, ...]]] = []
         for used, placed in partial:
-            free = allowed[p] & ~used
-            while free:
-                bit = free & -free
-                free ^= bit
+            free = rest = allowed[p] & ~used
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
                 w = bit.bit_length() - 1
+                if twins[w] & free:
+                    continue
                 nbrs = masks[w]
                 word = 0
                 for j, u in enumerate(placed):
@@ -132,6 +174,16 @@ def _canonical_code(masks: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     return code, [placed for _, placed in partial]
 
 
+def _image_table(s: Sequence[int], low: int, size: int) -> list[int]:
+    """The image under the vertex map s of every subset of the vertices
+    low, ..., low + size - 1, indexed by the subset's mask shifted down by
+    low."""
+    table = [0] * (1 << size)
+    for x in range(1, 1 << size):
+        table[x] = table[x & (x - 1)] | 1 << s[low + (x & -x).bit_length() - 1]
+    return table
+
+
 def _classes(n: int) -> list[int]:
     """Canonical codes of the connected graphs on n vertices up to
     isomorphism, ascending; the children canonicalised are cut by the orbit
@@ -140,16 +192,40 @@ def _classes(n: int) -> list[int]:
         return [0]
     new = 1 << (n - 1)
     full = (1 << n) - 1
+    # a subset of the parent's vertices is imaged as its low and high halves
+    half = (n - 1) // 2
+    low_half = (1 << half) - 1
+    identity = tuple(range(n - 1))
     codes = set()
     for parent in _classes(n - 1):
         base = graph_from_mask(n - 1, parent).closed_masks()
         _, autos = _canonical_code(base)
+        gens = [s for s in autos if s != identity]
+        # twins fall into classes, and swapping each member with the next
+        # lower one generates every twin transposition of its class
+        for b, lower in enumerate(_twins(base)):
+            if lower:
+                s = list(identity)
+                a = lower.bit_length() - 1
+                s[a], s[b] = b, a
+                gens.append(s)
+        tables = [
+            (_image_table(s, 0, half), _image_table(s, half, n - 1 - half))
+            for s in gens
+        ]
         marked = bytearray(new)
         for nbrs in range(1, new):
             if marked[nbrs]:
                 continue
-            for s in autos:
-                marked[sum(1 << s[v] for v in range(n - 1) if (nbrs >> v) & 1)] = 1
+            marked[nbrs] = 1
+            orbit = [nbrs]
+            for x in orbit:
+                lo, hi = x & low_half, x >> half
+                for lo_image, hi_image in tables:
+                    y = lo_image[lo] | hi_image[hi]
+                    if not marked[y]:
+                        marked[y] = 1
+                        orbit.append(y)
             masks = [m | new if (nbrs >> v) & 1 else m for v, m in enumerate(base)]
             masks.append(nbrs | new)
             size = masks[-1].bit_count()

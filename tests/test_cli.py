@@ -163,6 +163,18 @@ class TestVerify:
         assert code == 0
         assert "defend.0,1=" in out
 
+    def test_certificate_lines_in_lex_order(self, capsys, p5_file):
+        code, out, _ = run(
+            capsys, "verify", p5_file, "0", "1", "3", "4", "--certificate"
+        )
+        assert code == 0
+        pairs = [
+            tuple(int(u) for u in line[len("defend."):].split("=")[0].split(","))
+            for line in out.splitlines()
+            if line.startswith("defend.")
+        ]
+        assert pairs == [(u1, u2) for u1 in range(5) for u2 in range(u1 + 1, 5)]
+
 
 class TestParserReuse:
     CALLS = [

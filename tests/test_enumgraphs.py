@@ -1,10 +1,11 @@
 import hashlib
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from secdom import enumgraphs
 from secdom.enumgraphs import _canonical_code, _classes, connected_graphs
+from secdom.graphs import GraphError
 
 # connected graphs on n unlabeled vertices, OEIS A001349
 A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -47,9 +48,23 @@ def test_eight_vertices():
     )
 
 
+def closure(gens, n):
+    """The group that the permutations `gens` of range(n) generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for s in frontier:
+        for g in gens:
+            t = tuple(g[v] for v in s)
+            if t not in group:
+                group.add(t)
+                frontier.append(t)
+    return group
+
+
 def test_labellings_of_a_representative_are_its_automorphisms(classes):
     """On a graph in canonical labelling, `_canonical_code` returns its code
-    and every automorphism, checked against all n! permutations."""
+    and automorphisms that, with the transpositions of twins, generate the
+    whole automorphism group; checked against all n! permutations."""
     for n in range(1, 7):
         for G in classes[n]:
             edges = set(G.edges)
@@ -58,19 +73,33 @@ def test_labellings_of_a_representative_are_its_automorphisms(classes):
                 for s in permutations(range(n))
                 if all(tuple(sorted((s[u], s[v]))) in edges for u, v in edges)
             }
-            code, labellings = _canonical_code(list(G.closed_masks()))
+            masks = G.closed_masks()
+            code, labellings = _canonical_code(list(masks))
             assert G == enumgraphs.graph_from_mask(n, code)
-            assert len(labellings) == len(autos)
-            assert set(labellings) == autos, G.edges
+            assert set(labellings) <= autos, G.edges
+            swaps = []
+            for a, b in combinations(range(n), 2):
+                if masks[a] == masks[b] or masks[a] ^ 1 << a == masks[b] ^ 1 << b:
+                    s = list(range(n))
+                    s[a], s[b] = b, a
+                    swaps.append(s)
+            assert closure(labellings + swaps, n) == autos, G.edges
+
+
+def test_negative_vertex_count_is_rejected():
+    for up_to_iso in (False, True):
+        with pytest.raises(GraphError):
+            list(connected_graphs(-1, up_to_iso=up_to_iso))
 
 
 def test_canonical_code_calls(monkeypatch):
     """A machine-independent guard on the orbit and degree rules:
-    `_classes(7)` canonicalises its 143 parents, for their automorphisms,
-    and 1,361 children, one per Aut(parent)-orbit of subsets that passes the
-    degree rule.  Without the rules that is all 7,815 children; 2,939 calls
-    without the orbit rule (or with each subset marking only itself), 4,302
-    without the degree rule."""
+    `_classes(7)` canonicalises its 143 parents, for generators of their
+    automorphisms, and 1,361 children, one per Aut(parent)-orbit of subsets
+    that passes the degree rule.  Without the rules that is all 7,815 children; 2,939 calls
+    without the orbit rule (or with each subset marking only itself), 1,758
+    with orbits closed under the parents' labellings without their twin
+    transpositions, 4,302 without the degree rule."""
     calls = 0
     search = enumgraphs._canonical_code
 
