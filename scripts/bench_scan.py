@@ -228,10 +228,10 @@ def measure_enum(secdom):
         search = enumgraphs._canonical_code
         calls = labellings = 0
 
-        def counted(masks):
+        def counted(*args):
             nonlocal calls, labellings
             calls += 1
-            code, found = search(masks)
+            code, found = search(*args)
             labellings += len(found)
             return code, found
 

@@ -47,7 +47,28 @@
      tested when the packing has two or more).  A set of k vertices covers
      at most k * widest incidences, so the level is empty for dom when
      k * widest < n, and for 2dom and 2-SDS, where all but at most k
-     vertices need two members of the set, when k * (widest + 1) < 2n.
+     vertices need two members of the set, when k * (widest + 1) < 2n;
+   - for 2dom and 2-SDS, the private-vertex counts, proved in
+     `_pykernel.witness`.  After the push of pick p at depth j, left =
+     last - j picks remain, all above p, and unc = need[j + 1].  A vertex of
+     unc with one later pick q in its closed neighbourhood is private to q
+     (2-SDS, at most one per pick) or is q (2dom), so unc holds at most
+     `left` such vertices and every other one needs two later picks.  The
+     node, not its later siblings, is skipped when left = 1 and unc has two
+     bits (1, the last pick), or when 2|unc| > left * (wider[p] + 1), with
+     wider[p] the largest |N[q]| over q > p (2, the prefix count; skipped
+     when left * (wider[p] + 1) >= 2n, where it cannot cut).  For 2dom,
+     every vertex of degree <= 1 (`forced`) lies in the set: the level is
+     empty when there are more than k, and the node is skipped when more
+     than `left` lie above p (4).  And a prefix ends with every later
+     sibling, as with the dead rule, when a vertex u outside it has fewer
+     than two picks in N[u] and lies in dead[p] or is a forced vertex below
+     p (3, `final[p]`): u stays outside every completion, and no later pick
+     of the prefix or of a later sibling enters N[u] or adds to it.  Rules
+     1, 2 and 4 run after the dead rule, rule 3, the shared-sole-defender
+     rule and the packing bound of the push, so they take none of their
+     sibling cuts away.  wider, above and final come from the loop that
+     reads the masks.
 
    `kernel.solve_level` picks this module or `_pykernel` and computes the
    count of k-combinations examined, the witness's lex position, for either
@@ -66,6 +87,16 @@ enum { DOM, TWO_DOM, TWO_SDS }; /* the kinds of `_pykernel.witness` */
 #define LOW(m) __builtin_ctzll(m)
 #define HIGH(m) (63 - __builtin_clzll(m))
 #define BIT(v) ((u64)1 << (v))
+
+/* The bits of m.  `__builtin_popcountll` compiles to a libgcc call unless
+   the target has a popcount instruction (-mpopcnt); this runs inline. */
+static inline int popcount(u64 m)
+{
+    m -= (m >> 1) & 0x5555555555555555ULL;
+    m = (m & 0x3333333333333333ULL) + ((m >> 2) & 0x3333333333333333ULL);
+    m = (m + (m >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return (int)((m * 0x0101010101010101ULL) >> 56);
+}
 
 /* A dominating set S, with the layers of the swap test. */
 typedef struct {
@@ -179,8 +210,8 @@ static PyObject *witness(PyObject *self, PyObject *args)
     Py_ssize_t size, k;
     int kind;
     u64 masks[MAX_N], dead[MAX_N] = {0}, need[MAX_N], chosen[MAX_N];
-    u64 two[MAX_N], three[MAX_N];
-    int picks[MAX_N];
+    u64 two[MAX_N], three[MAX_N], final[MAX_N];
+    int picks[MAX_N], wider[MAX_N], above[MAX_N];
     Failed failed;
 
     (void)self;
@@ -197,8 +228,9 @@ static PyObject *witness(PyObject *self, PyObject *args)
         PyErr_Format(PyExc_ValueError, "at most %d masks, got %zd", MAX_N, size);
         return NULL;
     }
-    int n = (int)size, widest = 0;
+    int n = (int)size, widest = 0, nforced = 0;
     u64 full = n == MAX_N ? ~(u64)0 : BIT(n) - 1, packing = 0, covered = 0;
+    u64 forced = 0; /* the vertices of degree <= 1 */
     for (int v = n - 1; v >= 0; v--) {
         u64 m = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(seq, v));
         if (m == (u64)-1 && PyErr_Occurred()) {
@@ -216,7 +248,13 @@ static PyObject *witness(PyObject *self, PyObject *args)
             packing |= BIT(v);
             covered |= m;
         }
-        int size = __builtin_popcountll(m);
+        int size = popcount(m);
+        wider[v] = widest; /* the largest |N[q]| over q > v */
+        above[v] = nforced; /* the vertices of degree <= 1 above v */
+        if (size <= 2) {
+            forced |= BIT(v);
+            nforced++;
+        }
         if (size > widest)
             widest = size;
     }
@@ -225,15 +263,18 @@ static PyObject *witness(PyObject *self, PyObject *args)
         Py_RETURN_NONE; /* no k-subset, or the empty set, which dominates nothing */
     if (k == 0)
         return PyTuple_New(0); /* the empty graph: no vertex to cover or attack */
-    if (__builtin_popcountll(packing) > k ||
-        (kind == DOM ? k * widest < n : k * (widest + 1) < 2 * n))
-        Py_RETURN_NONE; /* the packing and degree bounds */
+    if (popcount(packing) > k ||
+        (kind == DOM ? k * widest < n : k * (widest + 1) < 2 * n) ||
+        (kind == TWO_DOM && nforced > k))
+        Py_RETURN_NONE; /* the packing, degree and forced-vertex bounds */
     for (int p = 1; p < n; p++)
         dead[p] |= dead[p - 1];
+    for (int p = 0; p < n; p++) /* the final count of 2dom */
+        final[p] = dead[p] | (forced & (BIT(p) - 1));
 
     int last = (int)k - 1, j = 0, p = 0;
     unsigned long nodes = 0;
-    int packed = __builtin_popcountll(packing) > 1; /* the packing bound can cut */
+    int packed = popcount(packing) > 1; /* the packing bound can cut */
     need[0] = full;
     chosen[0] = two[0] = three[0] = 0;
     failed.len = 0;
@@ -261,15 +302,25 @@ static PyObject *witness(PyObject *self, PyObject *args)
             u64 smask = chosen[j] | BIT(p), at2 = two[j] | (~rest & masks[p]);
             u64 fin1 = dead[p] & ~(unc | at2);
             /* the dead rule, then for 2-SDS the shared-sole-defender rule on
-               the vertices that p makes final: either ends the prefix and
-               every later sibling */
+               the vertices that p makes final, and for 2dom the final count:
+               each ends the prefix and every later sibling */
             if (!(unc & dead[p]) &&
                 !(kind == TWO_SDS &&
                   shares_sole_pick(masks, smask, fin1,
-                                   j ? fin1 & ~dead[picks[j - 1]] : fin1))) {
-                if (packed && __builtin_popcountll(unc & packing) > last - j) {
+                                   j ? fin1 & ~dead[picks[j - 1]] : fin1)) &&
+                !(kind == TWO_DOM && (final[p] & ~(at2 | smask)))) {
+                if (packed && popcount(unc & packing) > last - j) {
                     p++; /* the packing bound: this node only */
                     continue;
+                }
+                if (kind != DOM) { /* the private-vertex counts: this node only */
+                    int left = last - j, cap = left * (wider[p] + 1);
+                    if ((left == 1 ? (unc & (unc - 1)) != 0
+                                   : cap < 2 * n && 2 * popcount(unc) > cap) ||
+                        (kind == TWO_DOM && above[p] > left)) {
+                        p++;
+                        continue;
+                    }
                 }
                 picks[j] = p;
                 need[j + 1] = unc;

@@ -31,6 +31,16 @@ distinct defenders from {v}.  The 2-SDS test checks it at a dominating leaf
 before any attack pair, and the scan checks it on every prefix for the
 vertices whose count of picks is already final (proof in `witness`).
 
+For 2dom and 2-SDS the scan counts private vertices on the prefix.  A vertex
+the prefix leaves uncovered, with one later pick in its closed
+neighbourhood, is private to that pick (2-SDS: at most one per pick) or is
+that pick (2dom).  So a node before the last pick is dropped when the
+prefix leaves two vertices uncovered, and an earlier node when the picks
+left are too few to give two members to every uncovered vertex but one per
+pick.  For 2dom, every vertex of degree <= 1 lies in the set, and a prefix
+also ends with its later siblings once a vertex outside it is left with a
+final count below two (proofs in `witness`).
+
 The defence search tests a swap without rebuilding the swapped set.
 `layers` sorts the vertices by how many members of S their closed
 neighbourhood holds: none (`zero`), exactly one (`ex1`) or exactly two
@@ -149,6 +159,54 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     closed neighbourhood, and the parent found no two sharing a pick.  Each
     new vertex u looks up its sole pick v and fails when N[v] & fin1 has two
     bits.
+
+    The private-vertex counts, for TWO_DOM and TWO_SDS.  After the push of
+    pick p at depth j, the prefix P holds j + 1 picks, left = last - j picks
+    remain, all above p, and unc = `need[j + 1]` holds the vertices P leaves
+    uncovered.  Let W_p be the largest |N[q]| over q > p (`wider[p]`), and F
+    the vertices of degree <= 1 (|N[u]| <= 2; `above[p]` counts those above
+    p).  Take a completion Q of P, and let S = P + Q be a set of the kind.
+    Every u in unc has N[u] & S = N[u] & Q, which is not empty, as S
+    dominates.  Call u lone when N[u] & Q has one member q.  For TWO_SDS a
+    lone u is private to q, and by the shared-sole-defender rule q has at
+    most one private vertex.  For TWO_DOM a lone u is in S, as a vertex
+    outside S needs two members of S in its closed neighbourhood, and u is
+    not in P, which misses N[u]: so u is in Q.  Either way unc holds at most
+    `left` lone vertices.
+
+    1. The last pick (left = 1).  The node is skipped when unc has two or
+       more bits: every u in unc is lone under the one last pick q.  For
+       TWO_SDS, q then has two private vertices; for TWO_DOM, a u other
+       than q lies outside S with one member of S in N[u].
+    2. The prefix count (left >= 2).  Each u in unc that is not lone has
+       two members of Q in N[u], so the sum over q in Q of |N[q] & unc| is
+       at least 2|unc| - left, and at most left * W_p.  The node is skipped
+       when 2|unc| > left * (W_p + 1).  This is the degree bound of the
+       level, applied to the uncovered part of the prefix.
+    3. The final count of TWO_DOM.  A vertex u outside S is 2-dominated only
+       by two members of S in N[u].  The prefix ends with every later
+       sibling when some u outside P has fewer than two picks in N[u] and
+       either lies in dead[p], so that no later pick enters N[u], or is a
+       vertex of F below p, whose N[u] - u holds at most one vertex.  u < p
+       is never picked later, so no completion 2-dominates.  A later
+       sibling q > p at depth j keeps u outside its set, misses N[u] if u
+       is dead, and keeps a prefix whose count in N[u] is at most that of
+       P: it fails the same way.  This is the test `final[p] & ~(two |
+       smask)`, with final[p] = dead[p] | F below p; a vertex of F outside S
+       never has two picks in its closed neighbourhood.
+    4. The forced vertices of TWO_DOM.  Every vertex of F lies in every
+       2-dominating set, since it has at most one neighbour.  So the level
+       is empty when |F| > k, and a node is skipped when more than `left`
+       vertices of F lie above p, since only the picks left can hold them.
+
+    Rules 1, 2 and 4 skip the node only: a later sibling leaves other
+    vertices uncovered.  They run after the dead rule, the shared-sole-
+    defender rule, rule 3 and the packing bound of the same push, so they
+    take none of those rules' sibling cuts away, and they read no mask.
+    Rules 1 and 2 drop only nodes whose dominating leaves the
+    shared-sole-defender rule rejects before any attack pair, so the
+    defence searches run on the same leaves as without them; only the
+    leaves tested fall.  DOM keeps none of these rules.
     """
     if kind not in (DOM, TWO_DOM, TWO_SDS):
         raise ValueError(f"unknown level-scan kind {kind!r}")
@@ -157,23 +215,34 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     if k <= 0 or k > n:
         return () if k == 0 and full == 0 else None
     dead = [0] * n
-    packing = covered = widest = 0
-    bit = 1 << n
+    wider = [0] * n  # the largest |N[q]| over q > p
+    packing = covered = widest = forced = 0
+    v = n
     for m in reversed(masks):
-        bit >>= 1
+        v -= 1
+        bit = 1 << v
         dead[m.bit_length() - 1] |= bit
         if not m & covered:
             packing |= bit
             covered |= m
-        if m.bit_count() > widest:
-            widest = m.bit_count()
+        size = m.bit_count()
+        wider[v] = widest
+        if size <= 2:
+            forced |= bit  # degree <= 1
+        if size > widest:
+            widest = size
     if packing.bit_count() > k or (
-        k * widest < n if kind == DOM else k * (widest + 1) < 2 * n
+        k * widest < n
+        if kind == DOM
+        else k * (widest + 1) < 2 * n or kind == TWO_DOM and forced.bit_count() > k
     ):
         return None
     below = 0
     for p in range(n):
         below = dead[p] = below | dead[p]
+    if kind == TWO_DOM:  # rules 3 and 4: the final count and forced vertices
+        final = [dead[p] | forced & ((1 << p) - 1) for p in range(n)]
+        above = [(forced >> p + 1).bit_count() for p in range(n)]
     packed = packing & (packing - 1)  # two or more: the packing bound can cut
     last = k - 1
     picks = [0] * k
@@ -227,11 +296,24 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
                             p = picks[j] + 1
                             continue
                         threes[j + 1] = threes[j] | twos[j] & nb
+                    elif final[p] & ~(two | smask):
+                        j -= 1  # the final count of 2dom, as the dead rule
+                        p = picks[j] + 1
+                        continue
                     sets[j + 1] = smask
                     twos[j + 1] = two
                 if packed and (unc & packing).bit_count() > last - j:
                     p += 1  # the packing bound: this node only
                     continue
+                if fill:  # the private-vertex counts: this node only
+                    left = last - j
+                    if (
+                        unc & (unc - 1)
+                        if left == 1
+                        else 2 * unc.bit_count() > left * (wider[p] + 1)
+                    ) or not sds and above[p] > left:
+                        p += 1
+                        continue
                 picks[j] = p
                 need[j + 1] = unc
                 j += 1

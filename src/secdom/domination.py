@@ -131,7 +131,14 @@ def exact_minimum(
     (2-dominating), with widest the largest closed neighbourhood, or below
     the size of a greedy 2-packing, is proved empty without a search, and a
     prefix is dropped when it leaves more vertices of the packing uncovered
-    than picks remain (proofs in `_pykernel.witness`).
+    than picks remain.  For 2-domination, every vertex of degree <= 1 is in
+    the set, so a level with more such vertices is empty, and a prefix is
+    dropped when more of them lie above its last pick than picks remain,
+    when it leaves two vertices uncovered before its last pick, when the
+    picks left are too few to give two members to every vertex it leaves
+    uncovered but one per pick, or, with its later siblings, when a vertex
+    outside it whose count is final, or a vertex of degree <= 1 below its
+    last pick, has fewer than two members (proofs in `_pykernel.witness`).
     Among minimum sets the lexicographically least is reported.  Refuses
     instances over the enumeration budget rather than degrading silently.
     """

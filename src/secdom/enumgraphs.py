@@ -58,7 +58,7 @@ its closure under these generators.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, GraphError, _checked_graph, _connected
 
@@ -119,11 +119,14 @@ def _twins(masks: list[int]) -> list[int]:
     return lower
 
 
-def _canonical_code(masks: list[int]) -> tuple[int, list[tuple[int, ...]]]:
+def _canonical_code(
+    masks: list[int], twins: Optional[list[int]] = None
+) -> tuple[int, list[tuple[int, ...]]]:
     """Least edge-slot mask over the labelings that give cell i of the
     refined partition the i-th block of labels, and the labelings that reach
     it and pass the twin rule of the module docstring, each as the tuple of
-    the vertices at labels 0, 1, ..., n-1.
+    the vertices at labels 0, 1, ..., n-1.  `twins` is `_twins(masks)`, when
+    the caller has it.
 
     Labels are placed from n-1 down.  Placing label p fixes the slots (p, q)
     with q > p, which outrank every slot of a lower label, so the least mask
@@ -144,7 +147,8 @@ def _canonical_code(masks: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     allowed = []
     for cell in _refined_cells(masks):
         allowed += [cell] * cell.bit_count()
-    twins = _twins(masks)
+    if twins is None:
+        twins = _twins(masks)
     # each partial labeling: (vertices used, vertices at labels p+1, p+2, ...)
     partial: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     code = 0
@@ -199,11 +203,12 @@ def _classes(n: int) -> list[int]:
     codes = set()
     for parent in _classes(n - 1):
         base = graph_from_mask(n - 1, parent).closed_masks()
-        _, autos = _canonical_code(base)
+        twins = _twins(base)
+        _, autos = _canonical_code(base, twins)
         gens = [s for s in autos if s != identity]
         # twins fall into classes, and swapping each member with the next
         # lower one generates every twin transposition of its class
-        for b, lower in enumerate(_twins(base)):
+        for b, lower in enumerate(twins):
             if lower:
                 s = list(identity)
                 a = lower.bit_length() - 1

@@ -137,7 +137,10 @@ def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
     vertices of the packing uncovered than picks remain.  A dominating
     candidate, and every prefix that leads only to such candidates, is also
     dropped when two vertices u1, u2 have N[u1] & S = N[u2] & S = {v}, since
-    the attack (u1, u2) needs two distinct defenders (proofs in
+    the attack (u1, u2) needs two distinct defenders.  By the same rule a
+    prefix is dropped when it leaves two vertices uncovered before its last
+    pick, or when the picks left, each with at most one private vertex,
+    cannot give the vertices it leaves uncovered enough members (proofs in
     `_pykernel.witness`).  Always terminates:
     V itself is a 2-SDS of a connected graph.  The witness is the
     lexicographically least minimum set and ships with its defense

@@ -103,10 +103,10 @@ def test_canonical_code_calls(monkeypatch):
     calls = 0
     search = enumgraphs._canonical_code
 
-    def counted(masks):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return search(masks)
+        return search(*args)
 
     monkeypatch.setattr(enumgraphs, "_canonical_code", counted)
     assert len(_classes(7)) == 853

@@ -716,33 +716,37 @@ class TestLevelScan:
     def test_defence_calls_of_comb8(self, monkeypatch):
         """A machine-independent guard on the shared-sole-defender rule and
         on the retry of every failing pair, most recent first: the pure exact
-        solve of comb8 tests 1,253 dominating leaves (3,086 without the
-        rule), and runs 17 full defence scans and 1,131 single-pair defence
-        searches (4,433 without the rule; 319 scans when only the last
-        failing pair is retried; 1,500 searches when a pair that defeats a
-        set is not moved to the front)."""
+        solve of comb8 tests 1,126 dominating leaves (1,253 without the
+        private-vertex counts, 3,086 without the rule either), and runs 17
+        full defence scans and 1,131 single-pair defence searches (4,433
+        without the rule; 319 scans when only the last failing pair is
+        retried; 1,500 searches when a pair that defeats a set is not moved
+        to the front)."""
         report, calls = self.count_calls(monkeypatch, generate("comb", (8,)))
         assert (report.value, report.subsets_examined) == (11, 58648)
-        assert calls == {"_is_2sds": 1253, "first_undefended": 17, "defenders": 1131}
+        assert calls == {"_is_2sds": 1126, "first_undefended": 17, "defenders": 1131}
 
     def test_defence_calls_of_gs_p4(self, monkeypatch):
-        """The rule at work on gs(P4): 1,621 dominating leaves tested, 2 full
+        """The rule at work on gs(P4): 81 dominating leaves tested, 2 full
         defence scans, both of the witness (its leaf and its certificate),
         and so no single-pair search: every other leaf falls to the rule and
-        the list of failed pairs stays empty (26,290, 27 and 30,383 without
-        the rule)."""
+        the list of failed pairs stays empty.  The private-vertex counts
+        drop the prefixes whose leaves the rule would all reject, so 81
+        leaves are tested, not 1,621 (26,290, 27 and 30,383 without the
+        rule either)."""
         report, calls = self.count_calls(monkeypatch, gs_graph(path(4)).graph)
         assert (report.value, report.subsets_examined) == (12, 792393)
-        assert calls == {"_is_2sds": 1621, "first_undefended": 2, "defenders": 0}
+        assert calls == {"_is_2sds": 81, "first_undefended": 2, "defenders": 0}
 
     def test_defence_calls_of_cycle20(self, monkeypatch):
         """The degree bound at work on C20: every level below 10 holds fewer
         than 2n / (widest + 1) = 10 vertices, so no search runs there, and
-        the pure exact solve tests 213 dominating leaves (229 without the
-        bound, whose level 9 searches to the end)."""
+        the pure exact solve tests 14 dominating leaves (213 without the
+        private-vertex counts, 229 without the bound either, whose level 9
+        searches to the end)."""
         report, calls = self.count_calls(monkeypatch, generate("cycle", (20,)))
         assert (report.value, report.subsets_examined) == (10, 491169)
-        assert calls == {"_is_2sds": 213, "first_undefended": 3, "defenders": 1}
+        assert calls == {"_is_2sds": 14, "first_undefended": 3, "defenders": 1}
 
 
 class TestSharedSoleDefender:
@@ -786,17 +790,19 @@ class TestSharedSoleDefender:
         assert fired or graphs == "classes-n1"
 
 
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request):
+    """Each kernel module: `_pykernel`, and the built `_kernel`."""
+    if request.param == "pure":
+        return _pykernel
+    return request.getfixturevalue("compiled_kernel")
+
+
 class TestLowerBounds:
     """The 2-packing and degree bounds of the level scan where they are
     tight, on both backends: they return None exactly on the levels that
     hold no set of the kind, and leave every witness as the flat scan finds
     it."""
-
-    @pytest.fixture(params=["pure", "compiled"])
-    def backend(self, request):
-        if request.param == "pure":
-            return _pykernel
-        return request.getfixturevalue("compiled_kernel")
 
     # kind -> (the flat scan's `accept`, the least size of the kind on C_n)
     CYCLE = {
@@ -884,3 +890,52 @@ class TestLowerBounds:
         masks = self.Reads(path(12).closed_masks())
         assert _pykernel.witness(masks, 4, kernel.DOM) == (1, 4, 7, 10)
         assert masks.reads == 11
+
+
+def graph_with_leaves(rng):
+    """A seeded graph on 4-10 vertices, often disconnected, with some
+    vertices of degree 0 or 1: a sparse random graph, then a few pendant
+    vertices hung on random vertices."""
+    n = rng.randint(3, 8)
+    edges = [e for e in combinations(range(n), 2) if rng.random() < 0.3]
+    for leaf in range(n, n + rng.randint(1, 2)):
+        edges.append((rng.randrange(leaf), leaf))
+    return build_graph(leaf + 1, edges)
+
+
+class TestPrivateVertexCounts:
+    """The private-vertex counts of the 2dom and 2-SDS level scans: the last
+    pick, the prefix count, the final count of 2dom and its forced
+    vertices (proofs in `_pykernel.witness`).  They drop only nodes that
+    hold no set of the kind, so both backends keep the flat scan's witness,
+    also on graphs with isolated and pendant vertices."""
+
+    @pytest.mark.parametrize("kind", (kernel.TWO_DOM, kernel.TWO_SDS))
+    def test_matches_flat_scan_with_leaves(self, backend, kind):
+        accept = TestLevelScan.PREDICATES["2dom" if kind == kernel.TWO_DOM else "2sds"]
+        rng = random.Random(28)
+        for _ in range(60):
+            G = graph_with_leaves(rng)
+            masks = list(G.closed_masks())
+            for k in range(1, G.n + 1):
+                expected, _ = reference_first_subset(masks, k, accept)
+                assert backend.witness(masks, k, kind) == expected, (G.edges, k)
+
+    def test_forced_vertices_bound_the_level(self):
+        """A 2-dominating set holds every vertex of degree <= 1, so the five
+        leaves of the star K1,5 prove 2dom level 4 empty before any search;
+        the degree and packing bounds do not."""
+        masks = TestLowerBounds.Reads(star(5).closed_masks())
+        assert _pykernel.witness(masks, 4, kernel.TWO_DOM) is None
+        assert masks.reads == 0
+        assert _pykernel.witness(masks, 5, kernel.TWO_DOM) == (1, 2, 3, 4, 5)
+
+    def test_forced_vertices_cut_the_2dom_search(self):
+        """comb8 has 8 teeth of degree 1 and 2-domination number 11.  On
+        level 10 a prefix ends with its later siblings once it passes a
+        tooth, and a node is dropped when more teeth lie above it than
+        picks remain: the search of the level reads 300 masks (14,914
+        without the private-vertex counts)."""
+        masks = TestLowerBounds.Reads(generate("comb", (8,)).closed_masks())
+        assert _pykernel.witness(masks, 10, kernel.TWO_DOM) is None
+        assert masks.reads == 300
