@@ -33,7 +33,10 @@ and the sha256 of those tables, which must match between runs.
 the best of `ENUM_REPEATS` runs of `list(connected_graphs(n,
 up_to_iso=True))`, the number of classes, the `_canonical_code` calls of one
 `_classes(n)` and the labellings those calls return, and the sha256 of its
-code list, which must match between runs.
+code list, which must match between runs.  The row `walk` records the
+same, but the hash, for `connected_graphs(n, up_to_iso=True)` called for
+each n of `WALK_SIZES` in turn, as the iso-corpus workload and the test
+fixtures call it; each call rebuilds the smaller sizes.
 
 The run is stored under LABEL in OUT's "runs", with the set's results under
 its name.  Runs under other labels, the other set of the same label and
@@ -83,6 +86,8 @@ DEFENCE_SEED = 5
 
 ENUM_SIZES = range(5, 9)
 ENUM_REPEATS = 3
+# the sizes that the iso-corpus workload and the test fixtures walk in turn
+WALK_SIZES = range(1, 8)
 
 
 def build_kernel(src, out):
@@ -223,35 +228,53 @@ def measure_defence(secdom):
 def measure_enum(secdom):
     from secdom import enumgraphs
 
-    sizes = {}
-    for n in ENUM_SIZES:
+    def counted(run):
+        """`run()`, the `_canonical_code` calls it made and the labellings
+        they returned."""
         search = enumgraphs._canonical_code
         calls = labellings = 0
 
-        def counted(*args):
+        def counting(*args):
             nonlocal calls, labellings
             calls += 1
             code, found = search(*args)
             labellings += len(found)
             return code, found
 
-        enumgraphs._canonical_code = counted
+        enumgraphs._canonical_code = counting
         try:
-            codes = enumgraphs._classes(n)
+            result = run()
         finally:
             enumgraphs._canonical_code = search
-        row = {
+        return result, {"_canonical_code": calls}, labellings
+
+    def walk():
+        return [
+            G for n in WALK_SIZES for G in enumgraphs.connected_graphs(n, up_to_iso=True)
+        ]
+
+    sizes = {}
+    for n in ENUM_SIZES:
+        codes, calls, labellings = counted(lambda: enumgraphs._classes(n))
+        sizes[f"n={n}"] = {
             "classes": len(codes),
             "enum_ms": best_ms(
                 lambda: list(enumgraphs.connected_graphs(n, up_to_iso=True)),
                 ENUM_REPEATS,
             ),
-            "calls": {"_canonical_code": calls},
+            "calls": calls,
             "labellings": labellings,
             "codes_sha256": hashlib.sha256(repr(codes).encode()).hexdigest(),
         }
-        sizes[f"n={n}"] = row
-        print(f"n={n}", json.dumps(row), flush=True)
+    reps, calls, labellings = counted(walk)
+    sizes["walk"] = {
+        "classes": len(reps),
+        "enum_ms": best_ms(walk, ENUM_REPEATS),
+        "calls": calls,
+        "labellings": labellings,
+    }
+    for name, row in sizes.items():
+        print(name, json.dumps(row), flush=True)
     return sizes
 
 

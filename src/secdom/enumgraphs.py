@@ -28,18 +28,25 @@ of codes, so the representatives and their order stay the same.
   P is built from its code, so it is in canonical labelling, and the
   labellings that `_canonical_code` of P returns generate Aut(P) with P's
   twin transpositions (see the twin rule).
-- Degree rule.  A child is kept only when no vertex other than the new one
-  is both a non-cut vertex of the child and of smaller degree in it.  This
-  loses no class: in a class C on n >= 2 vertices, pick a non-cut vertex w of
-  least degree among the non-cut vertices.  C - w is connected, so its class
-  on n-1 vertices is a parent P, through an isomorphism f from C - w onto P.
+- Cell rule.  Let c* be the first refined cell (see `_refined_cells`) of a
+  child that holds a non-cut vertex; a child is kept only when its new
+  vertex lies in c*.  The cells are built from invariants, in an order of
+  invariants, so an isomorphism maps cell i onto cell i and cut vertices
+  onto cut vertices.  So no class is lost: in a class C on n >= 2 vertices
+  take a non-cut vertex w in c*(C).  C - w is connected, so its class on
+  n-1 vertices is a parent P, through an isomorphism f from C - w onto P.
   The child P + f(N(w)) is isomorphic to C with the new vertex in the place
-  of w, so each of its non-cut vertices other than the new one has degree at
-  least deg(w) = |X|, and the rule keeps it.  The new vertex itself is never
-  a cut vertex, since removing it leaves P.  The rule reads only degrees and
-  cut vertices, which isomorphisms keep, and the isomorphism of the orbit
-  rule maps the new vertex to the new vertex, so all children of one orbit
-  get the same verdict and the orbit's least member stands for it.
+  of w, so that vertex lies in the child's c*.  (The new vertex itself is
+  never a cut vertex, since removing it leaves P.)  The isomorphism of the
+  orbit rule maps the new vertex to itself, so all children of one orbit
+  get the same verdict and the orbit's least member stands for it.  Cells
+  are ordered by degree first, so a kept child has no non-cut vertex of
+  smaller degree than the new one (the degree rule).  That cheap test runs
+  first, on the parent's degrees; then only the earlier cells' vertices of
+  the new vertex's degree are tested for cuts, and the cells are handed to
+  `_canonical_code`.  A parent vertex v is a non-cut vertex of P + X exactly
+  when X meets every component of P - v, so the cut tests read components
+  found once per parent.
 
 Twin rule.  Two vertices a < b are twins when N[a] = N[b] (closed twins) or
 N(a) = N(b) (open twins); the transposition (a b) is then an automorphism.
@@ -60,7 +67,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, GraphError, _checked_graph, _connected
+from .graphs import Graph, GraphError, _checked_graph, _component
 
 
 def edge_slots(n: int) -> list[tuple[int, int]]:
@@ -80,28 +87,49 @@ def _refined_cells(masks: list[int]) -> list[int]:
     by its closed-neighbourhood masks, as one vertex bitmask per cell, in
     cell order.
 
-    Each round splits every cell by its vertices' neighbour counts in every
-    cell and orders the new cells by (old cell, counts); the partition is
-    equitable once a round splits nothing, or at once when every cell is a
-    single vertex, since such a partition cannot split.  Counting each vertex
-    in its own closed neighbourhood adds the same 1 to every member of a
-    cell, so it changes neither the splits nor the order.
+    Each round splits every cell by its vertices' neighbour counts in the
+    cells that the last round created (all cells in the first round) and
+    orders the parts by (old cell, counts); it stops when a round splits
+    nothing or the partition is discrete.  The counts against the other
+    cells would change neither: a cell X after round r+1 has constant counts
+    against every cell of round r's input, so also against each cell that
+    round r left unsplit.  A vertex's counts are packed into one int key,
+    the first cell in the most significant field of n.bit_length() bits,
+    whose order is that of the count tuples.  Counting each vertex in its
+    own closed neighbourhood adds the same 1 to every member of a cell, so
+    it changes neither the splits nor the order.
     """
     n = len(masks)
-    key: list = [m.bit_count() for m in masks]
-    while True:
-        rank = {k: i for i, k in enumerate(sorted(set(key)))}
-        cells = [0] * len(rank)
-        for v in range(n):
-            cells[rank[key[v]]] |= 1 << v
-        if len(cells) == n:
-            return cells
-        key = [
-            (rank[k], *[(m & c).bit_count() for c in cells])
-            for k, m in zip(key, masks)
-        ]
-        if len(set(key)) == len(cells):
-            return cells
+    width = n.bit_length()
+    by_degree: dict[int, int] = {}
+    for v, m in enumerate(masks):
+        d = m.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = created = [by_degree[d] for d in sorted(by_degree)]
+    while created and len(cells) < n:
+        splitters, created, refined = created, [], []
+        for cell in cells:
+            if not cell & (cell - 1):
+                refined.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            rest = cell
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                m = masks[bit.bit_length() - 1]
+                key = 0
+                for s in splitters:
+                    key = key << width | (m & s).bit_count()
+                parts[key] = parts.get(key, 0) | bit
+            if len(parts) == 1:
+                refined.append(cell)
+            else:
+                split = [parts[k] for k in sorted(parts)]
+                refined += split
+                created += split
+        cells = refined
+    return cells
 
 
 def _twins(masks: list[int]) -> list[int]:
@@ -120,13 +148,15 @@ def _twins(masks: list[int]) -> list[int]:
 
 
 def _canonical_code(
-    masks: list[int], twins: Optional[list[int]] = None
+    masks: list[int],
+    twins: Optional[list[int]] = None,
+    cells: Optional[list[int]] = None,
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Least edge-slot mask over the labelings that give cell i of the
     refined partition the i-th block of labels, and the labelings that reach
     it and pass the twin rule of the module docstring, each as the tuple of
-    the vertices at labels 0, 1, ..., n-1.  `twins` is `_twins(masks)`, when
-    the caller has it.
+    the vertices at labels 0, 1, ..., n-1.  `twins` is `_twins(masks)` and
+    `cells` is `_refined_cells(masks)`, when the caller has them.
 
     Labels are placed from n-1 down.  Placing label p fixes the slots (p, q)
     with q > p, which outrank every slot of a lower label, so the least mask
@@ -144,8 +174,10 @@ def _canonical_code(
     only automorphisms that twin transpositions carry to returned ones.
     """
     n = len(masks)
+    if cells is None:
+        cells = _refined_cells(masks)
     allowed = []
-    for cell in _refined_cells(masks):
+    for cell in cells:
         allowed += [cell] * cell.bit_count()
     if twins is None:
         twins = _twins(masks)
@@ -188,14 +220,24 @@ def _image_table(s: Sequence[int], low: int, size: int) -> list[int]:
     return table
 
 
+def _has_non_cut(sides: list[list[int]], nbrs: int, vertices: int) -> bool:
+    """Whether one of the parent's `vertices` v is a non-cut vertex of the
+    child P + nbrs: whether nbrs meets each component `sides[v]` of P - v."""
+    while vertices:
+        bit = vertices & -vertices
+        vertices ^= bit
+        if all(side & nbrs for side in sides[bit.bit_length() - 1]):
+            return True
+    return False
+
+
 def _classes(n: int) -> list[int]:
     """Canonical codes of the connected graphs on n vertices up to
     isomorphism, ascending; the children canonicalised are cut by the orbit
-    and degree rules of the module docstring."""
+    and cell rules of the module docstring."""
     if n <= 1:
         return [0]
     new = 1 << (n - 1)
-    full = (1 << n) - 1
     # a subset of the parent's vertices is imaged as its low and high halves
     half = (n - 1) // 2
     low_half = (1 << half) - 1
@@ -214,6 +256,19 @@ def _classes(n: int) -> list[int]:
                 a = lower.bit_length() - 1
                 s[a], s[b] = b, a
                 gens.append(s)
+        # le[d]: the parent's vertices v with |N[v]| <= d
+        le = [
+            sum(1 << v for v, m in enumerate(base) if m.bit_count() <= d)
+            for d in range(n)
+        ]
+        # sides[v]: the components of P - v
+        sides = []
+        for v in range(n - 1):
+            rest, comps = (new - 1) ^ 1 << v, []
+            while rest:
+                comps.append(_component(base, rest))
+                rest ^= comps[-1]
+            sides.append(comps)
         tables = [
             (_image_table(s, 0, half), _image_table(s, half, n - 1 - half))
             for s in gens
@@ -231,15 +286,24 @@ def _classes(n: int) -> list[int]:
                     if not marked[y]:
                         marked[y] = 1
                         orbit.append(y)
+            # the child's vertices of smaller degree than the new one
+            size = nbrs.bit_count()
+            smaller = le[size] & ~nbrs | le[size - 1] & nbrs
+            if _has_non_cut(sides, nbrs, smaller):
+                continue
             masks = [m | new if (nbrs >> v) & 1 else m for v, m in enumerate(base)]
             masks.append(nbrs | new)
-            size = masks[-1].bit_count()
-            if any(
-                m.bit_count() < size and _connected(masks, full ^ (1 << v))
-                for v, m in enumerate(masks[:-1])
-            ):
+            # the cell rule: every vertex of an earlier cell is a cut vertex;
+            # those of smaller degree are already tested
+            cells = _refined_cells(masks)
+            before = 0
+            for cell in cells:
+                if cell & new:
+                    break
+                before |= cell
+            if _has_non_cut(sides, nbrs, before & ~smaller):
                 continue
-            codes.add(_canonical_code(masks)[0])
+            codes.add(_canonical_code(masks, None, cells)[0])
     return sorted(codes)
 
 

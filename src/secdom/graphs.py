@@ -74,7 +74,8 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff a flood fill of the masks from vertex 0 reaches every vertex."""
-        return _connected(self._masks, (1 << self.n) - 1)
+        full = (1 << self.n) - 1
+        return _component(self._masks, full) == full
 
     def closed_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of N[v]; the currency of the solver kernels."""
@@ -124,11 +125,11 @@ def check_vertex_set(G: Graph, S: Iterable[int]) -> tuple[int, ...]:
 
 
 
-def _connected(masks: Sequence[int], within: int) -> bool:
-    """Whether a flood fill of the closed-neighbourhood `masks`, kept inside
-    the vertex mask `within` and started at its least vertex, reaches every
-    vertex of `within`: whether `within` induces a connected subgraph.  True
-    for an empty `within`."""
+def _component(masks: Sequence[int], within: int) -> int:
+    """The vertices that a flood fill of the closed-neighbourhood `masks`,
+    kept inside the vertex mask `within` and started at its least vertex,
+    reaches: the component of that vertex in the subgraph that `within`
+    induces.  0 for an empty `within`."""
     seen = frontier = within & -within
     while frontier:
         low = frontier & -frontier
@@ -136,4 +137,4 @@ def _connected(masks: Sequence[int], within: int) -> bool:
         new = masks[low.bit_length() - 1] & within & ~seen
         seen |= new
         frontier |= new
-    return seen == within
+    return seen

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from secdom import enumgraphs
 from secdom.enumgraphs import _canonical_code, _classes, connected_graphs
 from secdom.graphs import GraphError
+from util import reference_refined_cells
 
 # connected graphs on n unlabeled vertices, OEIS A001349
 A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -86,6 +88,33 @@ def test_labellings_of_a_representative_are_its_automorphisms(classes):
             assert closure(labellings + swaps, n) == autos, G.edges
 
 
+def test_refined_cells_match_the_full_count_on_labelled_graphs():
+    """The splitter refinement, which counts only against the cells the last
+    round created, gives the ordered cells of the reference, which counts
+    against every cell in every round, on every labelled connected graph
+    with n <= 5."""
+    for n in range(1, 6):
+        for G in connected_graphs(n):
+            masks = list(G.closed_masks())
+            cells = enumgraphs._refined_cells(masks)
+            assert cells == reference_refined_cells(masks), G.edges
+
+
+def test_refined_cells_match_the_full_count_on_relabelled_classes(classes):
+    """The same on a seeded random relabelling of every class with n <= 7."""
+    rng = random.Random(1)
+    for n, reps in classes.items():
+        for G in reps:
+            s = list(range(n))
+            rng.shuffle(s)
+            # the closed-neighbourhood masks with each vertex v renamed s[v]
+            masks = [0] * n
+            for v, m in enumerate(G.closed_masks()):
+                masks[s[v]] = sum(1 << s[u] for u in range(n) if (m >> u) & 1)
+            cells = enumgraphs._refined_cells(masks)
+            assert cells == reference_refined_cells(masks), (G.edges, s)
+
+
 def test_negative_vertex_count_is_rejected():
     for up_to_iso in (False, True):
         with pytest.raises(GraphError):
@@ -93,13 +122,14 @@ def test_negative_vertex_count_is_rejected():
 
 
 def test_canonical_code_calls(monkeypatch):
-    """A machine-independent guard on the orbit and degree rules:
+    """A machine-independent guard on the orbit and cell rules:
     `_classes(7)` canonicalises its 143 parents, for generators of their
-    automorphisms, and 1,361 children, one per Aut(parent)-orbit of subsets
-    that passes the degree rule.  Without the rules that is all 7,815 children; 2,939 calls
-    without the orbit rule (or with each subset marking only itself), 1,758
-    with orbits closed under the parents' labellings without their twin
-    transpositions, 4,302 without the degree rule."""
+    automorphisms, and 996 children, one per Aut(parent)-orbit of subsets
+    that passes the cell rule, for the 995 classes of sizes 2..7.  Without
+    the rules that is all 7,815 children; 2,207 calls without the orbit rule
+    (or with each subset marking only itself), 1,325 with orbits closed
+    under the parents' labellings without their twin transpositions, 1,504
+    with the degree rule in place of the cell rule, 4,302 with neither."""
     calls = 0
     search = enumgraphs._canonical_code
 
@@ -110,7 +140,7 @@ def test_canonical_code_calls(monkeypatch):
 
     monkeypatch.setattr(enumgraphs, "_canonical_code", counted)
     assert len(_classes(7)) == 853
-    assert calls == 1504
+    assert calls == 1139
 
 
 def test_order_is_deterministic(classes):

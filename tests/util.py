@@ -1,6 +1,7 @@
 """Shared test helpers: named small graphs, seeded random instances, the
-definition-literal domination and 2-SDS oracles, a flat reference level scan
-and a reference Delta+1 approximation on induced subgraphs.
+definition-literal domination and 2-SDS oracles, a flat reference level scan,
+a reference Delta+1 approximation on induced subgraphs and the cell
+refinement of the class enumerator counted in full.
 
 The oracle is deliberately independent of the package internals: plain sets
 read from `G.edges` (never the masks it checks), an unpruned ordered-pair
@@ -184,3 +185,25 @@ def reference_approx_2sds(G):
     )
     dprime = {rest[v] for v in reference_greedy_dominating(H)}
     return tuple(sorted(set(d2) | dprime))
+
+
+def reference_refined_cells(masks):
+    """Ordered equitable refinement of the degree partition, counted in full:
+    each round keys every vertex by (its cell, its counts in every cell) and
+    orders the new cells by that key; stops when a round splits nothing or
+    the partition is discrete."""
+    n = len(masks)
+    key = [m.bit_count() for m in masks]
+    while True:
+        rank = {k: i for i, k in enumerate(sorted(set(key)))}
+        cells = [0] * len(rank)
+        for v in range(n):
+            cells[rank[key[v]]] |= 1 << v
+        if len(cells) == n:
+            return cells
+        key = [
+            (rank[k], *[(m & c).bit_count() for c in cells])
+            for k, m in zip(key, masks)
+        ]
+        if len(set(key)) == len(cells):
+            return cells
