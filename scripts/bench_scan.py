@@ -11,7 +11,8 @@ instance set SET, `solve` (the default), `defence` or `enum`.
 `solve` builds the checkout's `_kernel.c` into a temporary directory, and
 measures each instance of `INSTANCES` on both backends:
 
-- `level_scan_ms`: best of 5 runs of `kernel.least_set`, the level scan;
+- `level_scan_ms`: best of 5 runs of `kernel.solve_level` from size 2, the
+  level scan;
 - `certificate_ms`: best of 5 runs of `secure._scan_2sds` on the witness.
 
 One more pure solve, with the pure kernel's module functions wrapped to count
@@ -150,14 +151,16 @@ def measure(secdom, compiled):
         masks = G.closed_masks()
         row = {"n": G.n}
         answers = set()
+
+        def scan():
+            return kernel.solve_level(masks, kernel.TWO_SDS, 2, G.n)
+
         for backend, module in (("compiled", compiled), ("pure", None)):
             kernel._kernel = module
-            witness, examined = kernel.least_set(masks, kernel.TWO_SDS)
+            witness, examined = scan()
             answers.add((witness, examined))
             row[f"{backend}_ms"] = {
-                "level_scan": best_ms(
-                    lambda: kernel.least_set(masks, kernel.TWO_SDS)
-                ),
+                "level_scan": best_ms(scan),
                 "certificate": best_ms(
                     lambda: secure._scan_2sds(G, witness, True)
                 ),
@@ -166,7 +169,7 @@ def measure(secdom, compiled):
             sys.exit(f"{name}: the backends disagree: {sorted(answers)}")
 
         def solve():
-            witness, examined = kernel.least_set(masks, kernel.TWO_SDS)
+            witness, examined = scan()
             secure._scan_2sds(G, witness, True)
             return witness, examined
 

@@ -1,10 +1,11 @@
 """secdom: computing, verifying, and approximating 2-secure dominating sets.
 
-Every exact solve runs the level scan of `secdom.kernel.solve_level`, which
-calls `witness(masks, k, kind)` of one of two backends that run the same
-algorithm: a hand-written C extension when it was built, else the pure-Python
-`secdom._pykernel`, selected at import (see `secdom.kernel.BACKEND`); it
-counts the subsets examined itself, for either.
+Every exact solve makes one call of the level scan,
+`secdom.kernel.solve_level`, which calls `least(masks, kind, first, last)` of
+one of two backends that run the same algorithm: a hand-written C extension
+when it was built, else the pure-Python `secdom._pykernel`, selected at
+import (see `secdom.kernel.BACKEND`); it counts the subsets examined itself,
+for either.
 """
 
 from .domination import (
@@ -19,7 +20,7 @@ from .domination import (
     is_dominating,
 )
 from .gadgets import GadgetResult, apx_gadget, generate, gs_graph, inapprox_gadget
-from .graphio import GraphParseError, graph_to_text, parse_graph, write_graph
+from .graphio import GraphParseError, parse_graph, write_graph
 from .graphs import Graph, GraphError, build_graph
 from .kernel import BACKEND as KERNEL_BACKEND
 from .secure import (
@@ -56,7 +57,6 @@ __all__ = [
     "find_defenders",
     "first_failure",
     "generate",
-    "graph_to_text",
     "greedy_2dominating",
     "greedy_dominating",
     "gs_graph",

@@ -1,7 +1,12 @@
 /* Compiled level scan for the exact dom, 2dom and 2-SDS solvers.
 
-   `witness(masks, k, kind)` is `_pykernel.witness` on uint64
-   closed-neighbourhood masks, so it takes at most 64 vertices:
+   `least(masks, kind, first, last)` is `_pykernel.least` on uint64
+   closed-neighbourhood masks, so it takes at most 64 vertices.  It reads
+   the masks once, into the tables that depend only on the graph (`dead`,
+   the packing, `widest`, `wider`, `above`, `final`), then searches the
+   levels k in turn, from the larger of `first` and the least size the
+   bounds below allow, up to min(last, n), each with an empty list of
+   failed pairs, and returns the first witness.  Each level is:
 
    - a depth-first search over k-subsets in lex order, where `need[j]` holds
      the vertices the first j picks leave uncovered and `dead[p]` the
@@ -35,22 +40,23 @@
      stay private to v, and with v = p both stay undominated.  Only the
      vertices of fin1 outside dead[picks[j - 1]] are looked up; the parent
      checked the older ones, whose count p did not change.  The proof is in
-     full in `_pykernel.witness`;
-   - two lower bounds, as in `_pykernel.witness`, where they are proved.
+     full in `_pykernel.least`;
+   - two lower bounds, as in `_pykernel.least`, where they are proved.
      The loop that reads the masks runs from vertex n - 1 down to 0 and
      takes a greedy 2-packing, vertices whose closed neighbourhoods are
      pairwise disjoint, each vertex whose neighbourhood misses those taken
      so far; it also finds `widest`, the largest |N[v]|.  No pick covers two
-     packing vertices, so the level is empty when the packing has more than
-     k vertices, and a pushed node, but not its later siblings, is skipped
+     packing vertices, so no level below the packing's size is searched,
+     and a pushed node, but not its later siblings, is skipped
      when it leaves more packing vertices uncovered than picks remain (only
      tested when the packing has two or more).  A set of k vertices covers
-     at most k * widest incidences, so the level is empty for dom when
-     k * widest < n, and for 2dom and 2-SDS, where all but at most k
-     vertices need two members of the set, when k * (widest + 1) < 2n;
+     at most k * widest incidences, so the search starts at
+     ceil(n / widest) or above for dom, and for 2dom and 2-SDS, where all
+     but at most k vertices need two members of the set, at
+     ceil(2n / (widest + 1)) or above;
    - for 2dom and 2-SDS, the private-vertex counts, proved in
-     `_pykernel.witness`.  After the push of pick p at depth j, left =
-     last - j picks remain, all above p, and unc = need[j + 1].  A vertex of
+     `_pykernel.least`.  After the push of pick p at depth j, left =
+     top - j picks remain, all above p, and unc = need[j + 1].  A vertex of
      unc with one later pick q in its closed neighbourhood is private to q
      (2-SDS, at most one per pick) or is q (2dom), so unc holds at most
      `left` such vertices and every other one needs two later picks.  The
@@ -58,8 +64,8 @@
      bits (1, the last pick), or when 2|unc| > left * (wider[p] + 1), with
      wider[p] the largest |N[q]| over q > p (2, the prefix count; skipped
      when left * (wider[p] + 1) >= 2n, where it cannot cut).  For 2dom,
-     every vertex of degree <= 1 (`forced`) lies in the set: the level is
-     empty when there are more than k, and the node is skipped when more
+     every vertex of degree <= 1 (`forced`) lies in the set: the search
+     starts at their number or above, and the node is skipped when more
      than `left` lie above p (4).  And a prefix ends with every later
      sibling, as with the dead rule, when a vertex u outside it has fewer
      than two picks in N[u] and lies in dead[p] or is a forced vertex below
@@ -71,8 +77,8 @@
      reads the masks.
 
    `kernel.solve_level` picks this module or `_pykernel` and computes the
-   count of k-combinations examined, the witness's lex position, for either
-   (`kernel.examined`), so it has one definition. */
+   count of combinations examined for either (`kernel.examined`), so it has
+   one definition. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -81,7 +87,7 @@
 
 typedef uint64_t u64;
 
-enum { DOM, TWO_DOM, TWO_SDS }; /* the kinds of `_pykernel.witness` */
+enum { DOM, TWO_DOM, TWO_SDS }; /* the kinds of `_pykernel.least` */
 
 #define MAX_N 64
 #define LOW(m) __builtin_ctzll(m)
@@ -204,10 +210,10 @@ static PyObject *picks_tuple(const int *picks, int k)
             return NULL;                                                \
     } while (0)
 
-static PyObject *witness(PyObject *self, PyObject *args)
+static PyObject *least(PyObject *self, PyObject *args)
 {
     PyObject *arg, *seq;
-    Py_ssize_t size, k;
+    Py_ssize_t size, first, last;
     int kind;
     u64 masks[MAX_N], dead[MAX_N] = {0}, need[MAX_N], chosen[MAX_N];
     u64 two[MAX_N], three[MAX_N], final[MAX_N];
@@ -215,7 +221,7 @@ static PyObject *witness(PyObject *self, PyObject *args)
     Failed failed;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "Oni:witness", &arg, &k, &kind))
+    if (!PyArg_ParseTuple(args, "Oinn:least", &arg, &kind, &first, &last))
         return NULL;
     if (kind < DOM || kind > TWO_SDS)
         return PyErr_Format(PyExc_ValueError, "unknown level-scan kind %d", kind);
@@ -259,91 +265,101 @@ static PyObject *witness(PyObject *self, PyObject *args)
             widest = size;
     }
     Py_DECREF(seq);
-    if (k < 0 || k > n || (k == 0 && n > 0))
-        Py_RETURN_NONE; /* no k-subset, or the empty set, which dominates nothing */
-    if (k == 0)
-        return PyTuple_New(0); /* the empty graph: no vertex to cover or attack */
-    if (popcount(packing) > k ||
-        (kind == DOM ? k * widest < n : k * (widest + 1) < 2 * n) ||
-        (kind == TWO_DOM && nforced > k))
-        Py_RETURN_NONE; /* the packing, degree and forced-vertex bounds */
+    if (n == 0) {
+        if (first <= 0 && last >= 0)
+            return PyTuple_New(0); /* the empty graph: no vertex to cover or attack */
+        Py_RETURN_NONE;
+    }
+    /* the first level searched: `first`, or the least size the packing,
+       degree and forced-vertex bounds allow, whichever is larger */
+    Py_ssize_t start = kind == DOM ? (n + widest - 1) / widest
+                                   : (2 * n + widest) / (widest + 1);
+    if (start < popcount(packing))
+        start = popcount(packing);
+    if (kind == TWO_DOM && start < nforced)
+        start = nforced;
+    if (start < first)
+        start = first;
     for (int p = 1; p < n; p++)
         dead[p] |= dead[p - 1];
     for (int p = 0; p < n; p++) /* the final count of 2dom */
         final[p] = dead[p] | (forced & (BIT(p) - 1));
 
-    int last = (int)k - 1, j = 0, p = 0;
     unsigned long nodes = 0;
     int packed = popcount(packing) > 1; /* the packing bound can cut */
     need[0] = full;
     chosen[0] = two[0] = three[0] = 0;
-    failed.len = 0;
-    while (j >= 0) {
-        TICK();
-        u64 rest = need[j];
-        if (j == last) {
-            for (int q = p; q < n; q++) {
-                TICK();
-                u64 unc = rest & ~masks[q];
-                if (!unc) {
-                    u64 nb = masks[q], at2 = two[j] | (~rest & nb);
-                    Set s = {masks, full, chosen[j] | BIT(q), full & ~at2,
-                             at2 & ~(three[j] | (two[j] & nb))};
-                    picks[j] = q;
-                    if (kind == DOM || (kind == TWO_DOM ? (s.smask | at2) == full
-                                                        : is_2sds(&s, n, &failed)))
-                        return picks_tuple(picks, (int)k);
-                } else if (unc & dead[q]) {
-                    break;
-                }
-            }
-        } else if (p < n - last + j) {
-            u64 unc = rest & ~masks[p];
-            u64 smask = chosen[j] | BIT(p), at2 = two[j] | (~rest & masks[p]);
-            u64 fin1 = dead[p] & ~(unc | at2);
-            /* the dead rule, then for 2-SDS the shared-sole-defender rule on
-               the vertices that p makes final, and for 2dom the final count:
-               each ends the prefix and every later sibling */
-            if (!(unc & dead[p]) &&
-                !(kind == TWO_SDS &&
-                  shares_sole_pick(masks, smask, fin1,
-                                   j ? fin1 & ~dead[picks[j - 1]] : fin1)) &&
-                !(kind == TWO_DOM && (final[p] & ~(at2 | smask)))) {
-                if (packed && popcount(unc & packing) > last - j) {
-                    p++; /* the packing bound: this node only */
-                    continue;
-                }
-                if (kind != DOM) { /* the private-vertex counts: this node only */
-                    int left = last - j, cap = left * (wider[p] + 1);
-                    if ((left == 1 ? (unc & (unc - 1)) != 0
-                                   : cap < 2 * n && 2 * popcount(unc) > cap) ||
-                        (kind == TWO_DOM && above[p] > left)) {
-                        p++;
-                        continue;
+    for (Py_ssize_t k = start; k <= last && k <= n; k++) {
+        int top = (int)k - 1, j = 0, p = 0; /* the depth of the last pick */
+        failed.len = 0;
+        while (j >= 0) {
+            TICK();
+            u64 rest = need[j];
+            if (j == top) {
+                for (int q = p; q < n; q++) {
+                    TICK();
+                    u64 unc = rest & ~masks[q];
+                    if (!unc) {
+                        u64 nb = masks[q], at2 = two[j] | (~rest & nb);
+                        Set s = {masks, full, chosen[j] | BIT(q), full & ~at2,
+                                 at2 & ~(three[j] | (two[j] & nb))};
+                        picks[j] = q;
+                        if (kind == DOM || (kind == TWO_DOM ? (s.smask | at2) == full
+                                                            : is_2sds(&s, n, &failed)))
+                            return picks_tuple(picks, (int)k);
+                    } else if (unc & dead[q]) {
+                        break;
                     }
                 }
-                picks[j] = p;
-                need[j + 1] = unc;
-                chosen[j + 1] = smask;
-                two[j + 1] = at2;
-                three[j + 1] = three[j] | (two[j] & masks[p]);
-                j++;
-                p++;
-                continue;
+            } else if (p < n - top + j) {
+                u64 unc = rest & ~masks[p];
+                u64 smask = chosen[j] | BIT(p), at2 = two[j] | (~rest & masks[p]);
+                u64 fin1 = dead[p] & ~(unc | at2);
+                /* the dead rule, then for 2-SDS the shared-sole-defender rule on
+                   the vertices that p makes final, and for 2dom the final count:
+                   each ends the prefix and every later sibling */
+                if (!(unc & dead[p]) &&
+                    !(kind == TWO_SDS &&
+                      shares_sole_pick(masks, smask, fin1,
+                                       j ? fin1 & ~dead[picks[j - 1]] : fin1)) &&
+                    !(kind == TWO_DOM && (final[p] & ~(at2 | smask)))) {
+                    if (packed && popcount(unc & packing) > top - j) {
+                        p++; /* the packing bound: this node only */
+                        continue;
+                    }
+                    if (kind != DOM) { /* the private-vertex counts: this node only */
+                        int left = top - j, cap = left * (wider[p] + 1);
+                        if ((left == 1 ? (unc & (unc - 1)) != 0
+                                       : cap < 2 * n && 2 * popcount(unc) > cap) ||
+                            (kind == TWO_DOM && above[p] > left)) {
+                            p++;
+                            continue;
+                        }
+                    }
+                    picks[j] = p;
+                    need[j + 1] = unc;
+                    chosen[j + 1] = smask;
+                    two[j + 1] = at2;
+                    three[j + 1] = three[j] | (two[j] & masks[p]);
+                    j++;
+                    p++;
+                    continue;
+                }
             }
+            /* depth j holds no live pick from p on: advance the parent's pick */
+            if (--j >= 0)
+                p = picks[j] + 1;
         }
-        /* depth j holds no live pick from p on: advance the parent's pick */
-        if (--j >= 0)
-            p = picks[j] + 1;
     }
     Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
-    {"witness", witness, METH_VARARGS,
-     "witness(masks, k, kind)\n--\n\n"
-     "Lex-least k-subset of range(len(masks)) that is a set of `kind` (0\n"
-     "dominating, 1 2-dominating, 2 2-secure dominating) of the graph with\n"
+    {"least", least, METH_VARARGS,
+     "least(masks, kind, first, last)\n--\n\n"
+     "Lex-least smallest subset of range(len(masks)) whose size lies in\n"
+     "first..last and that is a set of `kind` (0 dominating, 1\n"
+     "2-dominating, 2 2-secure dominating) of the graph with\n"
      "closed-neighbourhood bitmasks `masks`, or None.  At most 64 masks."},
     {NULL, NULL, 0, NULL},
 };

@@ -1,5 +1,5 @@
 """Pure-Python search engine over bitmask adjacency: one level scan
-(`witness`, for dom, 2dom or 2-SDS), one coverage primitive (`layers`), and
+(`least`, for dom, 2dom or 2-SDS), one coverage primitive (`layers`), and
 the defence primitive in two forms: a single-pair search (`defenders`) and a
 row sweep over all attack pairs (`first_undefended`), for the 2-SDS test and
 the verifier's certificates.
@@ -9,27 +9,29 @@ the level scan, which keeps the same `one`/`two` recurrence down its path:
 the domination checkers, the verifier and the defence search read it on the
 graph's own closed-neighbourhood masks.
 
-The level scan is a depth-first search over k-subsets in lex order.  It
-covers incrementally, one OR per node, and abandons a prefix together with
-every later sibling as soon as a vertex it leaves uncovered has its whole
-closed neighbourhood at or below the last pick: no later pick can cover it.
+The level scan reads the graph once, then searches the levels k in turn
+from the first one its bounds allow, each a depth-first search over
+k-subsets in lex order.  It covers incrementally, one OR per node, and
+abandons a prefix together with every later sibling as soon as a vertex it
+leaves uncovered has its whole closed neighbourhood at or below the last
+pick: no later pick can cover it.
 It carries the layers of the picks down its path, so the test of its kind
 reads the layers of a dominating leaf in O(1).
 
 Two lower bounds on the size of a set of any of the three kinds, each of
-which dominates, prove levels and prefixes empty before any search: the
-2-packing bound rho(G) <= gamma(G) (Meir and Moon, 1975), on the level and
-on every prefix, and a degree count on the level.  Each cuts only levels
-and subtrees that hold no set of the kind, so the witnesses, and the
-dominating leaves the search tests, are those of the search without them
-(proofs in `witness`).
+which dominates, give the first level the scan searches: the 2-packing
+bound rho(G) <= gamma(G) (Meir and Moon, 1975) and a degree count, and for
+2dom the count of vertices of degree <= 1.  The packing bound also proves
+prefixes empty.  Each cuts only levels and subtrees that hold no set of
+the kind, so the witnesses, and the dominating leaves the search tests,
+are those of the search without them (proofs in `least`).
 
 For 2-SDS it also applies the shared-sole-defender rule: a dominating S in
 which two vertices have the same single member v of S in their closed
 neighbourhoods is not a 2-SDS, since the attack on those two needs two
 distinct defenders from {v}.  The 2-SDS test checks it at a dominating leaf
 before any attack pair, and the scan checks it on every prefix for the
-vertices whose count of picks is already final (proof in `witness`).
+vertices whose count of picks is already final (proof in `least`).
 
 For 2dom and 2-SDS the scan counts private vertices on the prefix.  A vertex
 the prefix leaves uncovered, with one later pick in its closed
@@ -39,7 +41,7 @@ prefix leaves two vertices uncovered, and an earlier node when the picks
 left are too few to give two members to every uncovered vertex but one per
 pick.  For 2dom, every vertex of degree <= 1 lies in the set, and a prefix
 also ends with its later siblings once a vertex outside it is left with a
-final count below two (proofs in `witness`).
+final count below two (proofs in `least`).
 
 The defence search tests a swap without rebuilding the swapped set.
 `layers` sorts the vertices by how many members of S their closed
@@ -55,46 +57,55 @@ layers are computed once per set and shared by every attack pair.
 it around, as w is outside N[u2] iff u2 is outside N[w]: for a fixed u1 and
 swap it computes the whole set of u2 that the swap defends in a few ANDs,
 so one pass over the swaps settles a row of attack pairs.  The 2-SDS test
-of `witness` retries every attack pair that failed at its level with
+of `least` retries every attack pair that failed at its level with
 `defenders` before it sweeps every row.
 
-The C extension `_kernel.c` exports the same `witness(masks, k, kind)` on
-uint64 masks; `kernel.solve_level` picks this module instead when the
-extension is unavailable or the graph has more than 64 vertices, and counts
-the k-combinations examined for either.  Masks are plain ints, so there is
-no vertex-count limit.
+The C extension `_kernel.c` exports the same `least(masks, kind, first,
+last)` on uint64 masks; `kernel.solve_level` picks this module instead when
+the extension is unavailable or the graph has more than 64 vertices, and
+counts the combinations examined for either.  Masks are plain ints, so
+there is no vertex-count limit.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-# The kinds of set of `witness` and the C kernel: dom, 2dom, 2-SDS.
+# The kinds of set of `least` and the C kernel: dom, 2dom, 2-SDS.
 DOM, TWO_DOM, TWO_SDS = 0, 1, 2
 
 
-def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]]:
-    """Lex-least k-subset of range(len(masks)) that is a set of `kind` (DOM,
-    TWO_DOM or TWO_SDS) of the graph with closed-neighbourhood bitmasks
-    `masks`, or None.  Every such set dominates, so the test of `kind` runs
-    only at a dominating leaf.  The empty set is of every kind on the empty
-    graph and of none on any other.
+def least(
+    masks: Sequence[int], kind: int, first: int, last: int
+) -> Optional[tuple[int, ...]]:
+    """Lex-least smallest subset of range(len(masks)) whose size lies in
+    first..last and that is a set of `kind` (DOM, TWO_DOM or TWO_SDS) of the
+    graph with closed-neighbourhood bitmasks `masks`, or None.  Every such
+    set dominates, so the test of `kind` runs only at a dominating leaf.  The
+    empty set is of every kind on the empty graph and of none on any other.
 
-    A depth-first search in lex order: `need[j]` holds the vertices the first
-    j picks leave uncovered, and `dead[p]` the vertices whose closed
-    neighbourhood lies within 0..p.  A pick p that leaves a vertex of
-    `dead[p]` uncovered ends its prefix and every later sibling, whose picks
-    lie above p too.
+    The masks are read once, into the tables that depend only on the graph:
+    `dead`, the 2-packing, `widest` and `wider`, and for TWO_DOM `final` and
+    `above`.  The first level searched, `start`, is `first` or the least
+    size the bounds below allow, whichever is larger.  The levels k from
+    `start` up to min(last, n) are then searched in turn, each with an empty
+    list of failed attack pairs, and the first witness found is returned.
+
+    Each level is a depth-first search in lex order: `need[j]` holds the
+    vertices the first j picks leave uncovered, and `dead[p]` the vertices
+    whose closed neighbourhood lies within 0..p.  A pick p that leaves a
+    vertex of `dead[p]` uncovered ends its prefix and every later sibling,
+    whose picks lie above p too.
 
     The 2-packing bound.  The loop that fills `dead` runs from vertex n - 1
     down to 0 and builds a greedy 2-packing P: it takes a vertex when its
     closed neighbourhood misses those of the vertices taken, so the closed
     neighbourhoods of P are pairwise disjoint.  A pick w covers u iff w is in
     N[u], so no pick covers two vertices of P: a dominating set has at least
-    |P| members, and the level is empty when |P| > k.  After the push of
-    pick p at depth j, k - j - 1 = last - j picks remain, and each covers at
+    |P| members, and no level below |P| is searched.  After the push of
+    pick p at depth j, k - j - 1 = top - j picks remain, and each covers at
     most one of the vertices of P that the prefix leaves uncovered: when
-    there are more than last - j, the node holds no dominating completion
+    there are more than top - j, the node holds no dominating completion
     and is skipped, but not its later siblings, which may cover other
     vertices of P.  The test runs only when |P| >= 2, since an interior
     node has at least one pick left.  The highest id goes first because the
@@ -104,14 +115,15 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     The degree bound.  Let widest be the largest |N[v]|.  The sum of |N[v]|
     over v in S counts each vertex u once per member of S in N[u], and is at
     most k * widest.  For DOM every vertex counts at least once, so the
-    level is empty when k * widest < n.  For TWO_DOM and TWO_SDS every
-    vertex counts at least twice, except at most k vertices that count
-    once, so the sum is at least 2n - k and the level is empty when
-    k * (widest + 1) < 2n.  For TWO_DOM, a vertex outside D has two members
-    of D in its closed neighbourhood, so only the members of D can count
-    once.  For TWO_SDS, a vertex that counts once is private to its one
-    member v of S, and by the shared-sole-defender rule below each v has
-    at most one private vertex.
+    level is empty when k * widest < n, and the scan starts at
+    ceil(n / widest) or above.  For TWO_DOM and TWO_SDS every vertex counts
+    at least twice, except at most k vertices that count once, so the sum
+    is at least 2n - k, the level is empty when k * (widest + 1) < 2n, and
+    the scan starts at ceil(2n / (widest + 1)) or above.  For TWO_DOM, a
+    vertex outside D has two members of D in its closed neighbourhood, so
+    only the members of D can count once.  For TWO_SDS, a vertex that counts
+    once is private to its one member v of S, and by the shared-sole-defender
+    rule below each v has at most one private vertex.
 
     Both bounds cut only what holds no set of the kind, and the search
     visits the rest in the same lex order, so the witness and the
@@ -161,7 +173,7 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     bits.
 
     The private-vertex counts, for TWO_DOM and TWO_SDS.  After the push of
-    pick p at depth j, the prefix P holds j + 1 picks, left = last - j picks
+    pick p at depth j, the prefix P holds j + 1 picks, left = top - j picks
     remain, all above p, and unc = `need[j + 1]` holds the vertices P leaves
     uncovered.  Let W_p be the largest |N[q]| over q > p (`wider[p]`), and F
     the vertices of degree <= 1 (|N[u]| <= 2; `above[p]` counts those above
@@ -195,8 +207,8 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
        smask)`, with final[p] = dead[p] | F below p; a vertex of F outside S
        never has two picks in its closed neighbourhood.
     4. The forced vertices of TWO_DOM.  Every vertex of F lies in every
-       2-dominating set, since it has at most one neighbour.  So the level
-       is empty when |F| > k, and a node is skipped when more than `left`
+       2-dominating set, since it has at most one neighbour.  So the scan
+       starts at |F| or above, and a node is skipped when more than `left`
        vertices of F lie above p, since only the picks left can hold them.
 
     Rules 1, 2 and 4 skip the node only: a later sibling leaves other
@@ -211,9 +223,9 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
     if kind not in (DOM, TWO_DOM, TWO_SDS):
         raise ValueError(f"unknown level-scan kind {kind!r}")
     n = len(masks)
+    if not n:
+        return () if first <= 0 <= last else None
     full = (1 << n) - 1
-    if k <= 0 or k > n:
-        return () if k == 0 and full == 0 else None
     dead = [0] * n
     wider = [0] * n  # the largest |N[q]| over q > p
     packing = covered = widest = forced = 0
@@ -231,12 +243,12 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
             forced |= bit  # degree <= 1
         if size > widest:
             widest = size
-    if packing.bit_count() > k or (
-        k * widest < n
-        if kind == DOM
-        else k * (widest + 1) < 2 * n or kind == TWO_DOM and forced.bit_count() > k
-    ):
-        return None
+    start = max(  # the packing, degree and forced-vertex bounds
+        first,
+        packing.bit_count(),
+        -(-n // widest) if kind == DOM else -(-2 * n // (widest + 1)),
+        forced.bit_count() if kind == TWO_DOM else 0,
+    )
     below = 0
     for p in range(n):
         below = dead[p] = below | dead[p]
@@ -244,84 +256,85 @@ def witness(masks: Sequence[int], k: int, kind: int) -> Optional[tuple[int, ...]
         final = [dead[p] | forced & ((1 << p) - 1) for p in range(n)]
         above = [(forced >> p + 1).bit_count() for p in range(n)]
     packed = packing & (packing - 1)  # two or more: the packing bound can cut
-    last = k - 1
-    picks = [0] * k
-    need = [full] * k
     fill = kind != DOM  # fills sets and twos on every push
-    if fill:
-        sets = [0] * k  # the mask of the first j picks
-        twos = [0] * k
-        threes = [0] * k
     sds = kind == TWO_SDS  # fills threes too, and runs the prefix rule
-    failed: list[tuple[int, int]] = []  # for TWO_SDS, see `_is_2sds`
-    j = p = 0
-    while j >= 0:
-        rest = need[j]
-        if j == last:
-            for q in range(p, n):
-                unc = rest & ~masks[q]
-                if not unc:
-                    picks[j] = q
-                    if kind == DOM:
-                        return tuple(picks)
-                    nb = masks[q]
-                    smask = sets[last] | 1 << q
-                    two = twos[last] | ~rest & nb
-                    if kind == TWO_DOM:
-                        if (smask | two) == full:
+    for k in range(start, min(last, n) + 1):
+        top = k - 1  # the depth of the last pick
+        picks = [0] * k
+        need = [full] * k
+        if fill:
+            sets = [0] * k  # the mask of the first j picks
+            twos = [0] * k
+            threes = [0] * k
+        failed: list[tuple[int, int]] = []  # for TWO_SDS, see `_is_2sds`
+        j = p = 0
+        while j >= 0:
+            rest = need[j]
+            if j == top:
+                for q in range(p, n):
+                    unc = rest & ~masks[q]
+                    if not unc:
+                        picks[j] = q
+                        if kind == DOM:
                             return tuple(picks)
-                    elif _is_2sds(
-                        masks,
-                        smask,
-                        full,
-                        (0, full & ~two, two & ~(threes[last] | twos[last] & nb)),
-                        failed,
-                    ):
-                        return tuple(picks)
-                elif unc & dead[q]:
-                    break
-        elif p < n - last + j:
-            unc = rest & ~masks[p]
-            if not unc & dead[p]:
-                if fill:
-                    nb = masks[p]
-                    smask = sets[j] | 1 << p
-                    two = twos[j] | ~rest & nb
-                    if sds:
-                        fin1 = dead[p] & ~(unc | two)
-                        fresh = fin1 & ~dead[picks[j - 1]] if j else fin1
-                        if fresh and _shares_sole_pick(masks, smask, fin1, fresh):
-                            # as the dead rule: the prefix ends with its later siblings
-                            j -= 1
+                        nb = masks[q]
+                        smask = sets[top] | 1 << q
+                        two = twos[top] | ~rest & nb
+                        if kind == TWO_DOM:
+                            if (smask | two) == full:
+                                return tuple(picks)
+                        elif _is_2sds(
+                            masks,
+                            smask,
+                            full,
+                            (0, full & ~two, two & ~(threes[top] | twos[top] & nb)),
+                            failed,
+                        ):
+                            return tuple(picks)
+                    elif unc & dead[q]:
+                        break
+            elif p < n - top + j:
+                unc = rest & ~masks[p]
+                if not unc & dead[p]:
+                    if fill:
+                        nb = masks[p]
+                        smask = sets[j] | 1 << p
+                        two = twos[j] | ~rest & nb
+                        if sds:
+                            fin1 = dead[p] & ~(unc | two)
+                            fresh = fin1 & ~dead[picks[j - 1]] if j else fin1
+                            if fresh and _shares_sole_pick(masks, smask, fin1, fresh):
+                                # as the dead rule: ends the later siblings too
+                                j -= 1
+                                p = picks[j] + 1
+                                continue
+                            threes[j + 1] = threes[j] | twos[j] & nb
+                        elif final[p] & ~(two | smask):
+                            j -= 1  # the final count of 2dom, as the dead rule
                             p = picks[j] + 1
                             continue
-                        threes[j + 1] = threes[j] | twos[j] & nb
-                    elif final[p] & ~(two | smask):
-                        j -= 1  # the final count of 2dom, as the dead rule
-                        p = picks[j] + 1
+                        sets[j + 1] = smask
+                        twos[j + 1] = two
+                    if packed and (unc & packing).bit_count() > top - j:
+                        p += 1  # the packing bound: this node only
                         continue
-                    sets[j + 1] = smask
-                    twos[j + 1] = two
-                if packed and (unc & packing).bit_count() > last - j:
-                    p += 1  # the packing bound: this node only
+                    if fill:  # the private-vertex counts: this node only
+                        left = top - j
+                        if (
+                            unc & (unc - 1)
+                            if left == 1
+                            else 2 * unc.bit_count() > left * (wider[p] + 1)
+                        ) or not sds and above[p] > left:
+                            p += 1
+                            continue
+                    picks[j] = p
+                    need[j + 1] = unc
+                    j += 1
+                    p += 1
                     continue
-                if fill:  # the private-vertex counts: this node only
-                    left = last - j
-                    if (
-                        unc & (unc - 1)
-                        if left == 1
-                        else 2 * unc.bit_count() > left * (wider[p] + 1)
-                    ) or not sds and above[p] > left:
-                        p += 1
-                        continue
-                picks[j] = p
-                need[j + 1] = unc
-                j += 1
-                p += 1
-                continue
-        # depth j holds no live pick from p on: advance the parent's pick
-        j -= 1
-        p = picks[j] + 1
+            # depth j holds no live pick from p on: advance the parent's pick
+            j -= 1
+            p = picks[j] + 1
     return None
 
 
@@ -356,7 +369,7 @@ def _is_2sds(
     A full scan never returns a pair of the list, since S defends those, so
     the list holds distinct pairs and grows only by full scans.
 
-    Before any pair, the shared-sole-defender rule (see `witness`): S fails
+    Before any pair, the shared-sole-defender rule (see `least`): S fails
     when some v of S has two vertices of `ex1` in N[v]."""
     ex1 = layered[1]
     m = smask

@@ -125,9 +125,9 @@ def exact_minimum(
 ) -> SolveReport:
     """Smallest set of the requested kind via size-increasing enumeration.
 
-    `kernel.least_set` scans the levels from size 0, so the 2-domination
-    test runs only on dominating subsets (every 2-dominating set dominates).
-    A level below n / widest (dominating) or 2n / (widest + 1)
+    One `kernel.solve_level` call scans the levels from size 0, and the
+    2-domination test runs only on dominating subsets (every 2-dominating
+    set dominates).  A level below n / widest (dominating) or 2n / (widest + 1)
     (2-dominating), with widest the largest closed neighbourhood, or below
     the size of a greedy 2-packing, is proved empty without a search, and a
     prefix is dropped when it leaves more vertices of the packing uncovered
@@ -138,7 +138,7 @@ def exact_minimum(
     picks left are too few to give two members to every vertex it leaves
     uncovered but one per pick, or, with its later siblings, when a vertex
     outside it whose count is final, or a vertex of degree <= 1 below its
-    last pick, has fewer than two members (proofs in `_pykernel.witness`).
+    last pick, has fewer than two members (proofs in `_pykernel.least`).
     Among minimum sets the lexicographically least is reported.  Refuses
     instances over the enumeration budget rather than degrading silently.
     """
@@ -148,7 +148,7 @@ def exact_minimum(
         raise ValueError("exact_minimum needs at least one vertex")
     if G.n > budget:
         raise BudgetExceededError(G.n, budget)
-    witness, examined = kernel.least_set(G.closed_masks(), KINDS[kind])
+    witness, examined = kernel.solve_level(G.closed_masks(), KINDS[kind], 0, G.n)
     return SolveReport(
         value=len(witness), witness=witness, subsets_examined=examined
     )

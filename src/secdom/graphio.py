@@ -7,7 +7,6 @@ edges with u < v, so parse(write(G)) round-trips bit-for-bit.
 
 from __future__ import annotations
 
-import io
 from typing import TextIO, Union
 
 from .gadgets import GadgetResult
@@ -26,12 +25,6 @@ def write_graph(G: Graph, out: Union[str, TextIO]) -> None:
     out.write(f"{G.n} {G.m}\n")
     for u, v in G.edges:
         out.write(f"{u} {v}\n")
-
-
-def graph_to_text(G: Graph) -> str:
-    buf = io.StringIO()
-    write_graph(G, buf)
-    return buf.getvalue()
 
 
 def parse_graph(src: Union[str, TextIO]) -> Graph:

@@ -52,21 +52,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._masks[v].bit_count() - 1
-
-    def closed_neighborhood(self, v: int) -> tuple[int, ...]:
-        """N[v] = N(v) + v itself, sorted ascending."""
-        self._check_vertex(v)
-        mask = self._masks[v]
-        return tuple(w for w in range(self.n) if mask >> w & 1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return u != v and self._masks[u] >> v & 1 == 1
-
     def max_degree(self) -> int:
         if self.n == 0:
             raise GraphError("max_degree of the empty graph is undefined")
@@ -80,10 +65,6 @@ class Graph:
     def closed_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of N[v]; the currency of the solver kernels."""
         return self._masks
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -120,7 +101,8 @@ def check_vertex_set(G: Graph, S: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize a vertex subset: sorted, duplicate-free, all ids valid."""
     out = sorted(set(S))
     for v in out:
-        G._check_vertex(v)
+        if not (0 <= v < G.n):
+            raise GraphError(f"vertex {v} outside 0..{G.n - 1}")
     return tuple(out)
 
 

@@ -2,11 +2,12 @@
 `TWO_DOM`, `TWO_SDS`): the compiled extension `_kernel` when it was built,
 else the pure-Python `_pykernel`.
 
-Both backends export one function, `witness(masks, k, kind)`, and run one
-algorithm; `solve_level` picks the module and counts the k-combinations
-examined, so the count has one definition, `examined`.  `BACKEND` names the
-active backend ("compiled" or "pure-python").  The extension holds masks in
-uint64, so graphs with more than 64 vertices always take the pure kernel.
+Both backends export one function, `least(masks, kind, first, last)`, and
+run one algorithm; `solve_level` picks the module, makes one call per solve
+and counts the combinations examined, so the count has one definition,
+`examined`.  `BACKEND` names the active backend ("compiled" or
+"pure-python").  The extension holds masks in uint64, so graphs with more
+than 64 vertices always take the pure kernel.
 """
 
 from __future__ import annotations
@@ -45,25 +46,16 @@ def examined(n: int, k: int, witness: Optional[Sequence[int]]) -> int:
 
 
 def solve_level(
-    masks: Sequence[int], k: int, kind: int
+    masks: Sequence[int], kind: int, first: int, last: int
 ) -> tuple[Optional[tuple[int, ...]], int]:
-    """First k-subset (lex order) of `kind`, plus the k-combinations a flat
-    lex-order scan examines up to it."""
+    """Lex-least smallest set of `kind` whose size lies in first..last, or
+    None, plus the combinations a flat lex-order scan examines up to it:
+    every C(n, j) of each level j from `first` below the set's size (up to
+    min(last, n) when there is none), then its lex position (`examined`)."""
     n = len(masks)
+    last = min(last, n)
     backend = _kernel if _kernel is not None and n <= _COMPILED_MAX_N else _pykernel
-    w = backend.witness(masks, k, kind)
-    return w, examined(n, k, w)
-
-
-def least_set(masks: Sequence[int], kind: int) -> tuple[tuple[int, ...], int]:
-    """Lex-least smallest set of `kind`, and the k-combinations examined on
-    the levels scanned.  The scan starts at size 2 for TWO_SDS, since an
-    attack pair needs two distinct defenders, and at size 0 otherwise.  V
-    is of every kind (for 2-SDS, each attacked pair defends itself)."""
-    total = 0
-    for k in range(2 if kind == TWO_SDS else 0, len(masks) + 1):
-        witness, count = solve_level(masks, k, kind)
-        total += count
-        if witness is not None:
-            return witness, total
-    raise AssertionError("V itself is a set of every kind")  # pragma: no cover
+    w = backend.least(masks, kind, first, last)
+    size = last + 1 if w is None else len(w)
+    count = sum(examined(n, j, None) for j in range(first, size))
+    return w, count if w is None else count + examined(n, size, w)

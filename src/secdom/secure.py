@@ -130,18 +130,20 @@ def first_failure(G: Graph, S):
 def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
     """Minimum 2-SDS by size-increasing enumeration.
 
-    Starts at size 2; candidates are pruned to dominating sets before the
-    pair check.  A level below 2n / (widest + 1), with widest the largest
-    closed neighbourhood, or below the size of a greedy 2-packing, is proved
-    empty without a search, and a prefix is dropped when it leaves more
-    vertices of the packing uncovered than picks remain.  A dominating
-    candidate, and every prefix that leads only to such candidates, is also
-    dropped when two vertices u1, u2 have N[u1] & S = N[u2] & S = {v}, since
-    the attack (u1, u2) needs two distinct defenders.  By the same rule a
+    One `kernel.solve_level` call scans every size from 2 up, since an
+    attack pair needs two distinct defenders; candidates are pruned to
+    dominating sets before the pair check.  A level below
+    2n / (widest + 1), with widest the largest closed neighbourhood, or
+    below the size of a greedy 2-packing, is proved empty without a search,
+    and a prefix is dropped when it leaves more vertices of the packing
+    uncovered than picks remain.  A dominating candidate, and every prefix
+    that leads only to such candidates, is also dropped when two vertices
+    u1, u2 have N[u1] & S = N[u2] & S = {v}, since the attack (u1, u2) needs
+    two distinct defenders.  By the same rule a
     prefix is dropped when it leaves two vertices uncovered before its last
     pick, or when the picks left, each with at most one private vertex,
     cannot give the vertices it leaves uncovered enough members (proofs in
-    `_pykernel.witness`).  Always terminates:
+    `_pykernel.least`).  Always terminates:
     V itself is a 2-SDS of a connected graph.  The witness is the
     lexicographically least minimum set and ships with its defense
     certificate.
@@ -152,7 +154,7 @@ def exact_gamma_2s(G: Graph, budget: int = DEFAULT_2SDS_BUDGET) -> SolveReport:
         raise DisconnectedGraphError("exact_gamma_2s requires a connected graph")
     if G.n > budget:
         raise BudgetExceededError(G.n, budget)
-    witness, examined = kernel.least_set(G.closed_masks(), kernel.TWO_SDS)
+    witness, examined = kernel.solve_level(G.closed_masks(), kernel.TWO_SDS, 2, G.n)
     cert, _ = _scan_2sds(G, witness, build_certificate=True)
     assert cert is not None
     return SolveReport(
@@ -184,11 +186,12 @@ def dom_set_approx(G: Graph, k: int) -> tuple[int, ...]:
     """Dominating-set approximation built on the 2-SDS pipeline.
 
     If a dominating set of size at most k exists, return the lex-least
-    smallest one, the set `kernel.least_set` returns.  The level scan runs
-    on every size from 1 up to min(k, gamma(G)), so it examines at most
-    sum over j <= k of C(n, j) combinations; no budget applies.  Otherwise
-    run the greedy 2-SDS algorithm on the inapproximability gadget G' and
-    return its set S' restricted to V, which always dominates G:
+    smallest one, from one `kernel.solve_level` call on the sizes 1..k.  The
+    level scan runs on every size from 1 up to min(k, gamma(G)), so it
+    examines at most sum over j <= k of C(n, j) combinations; no budget
+    applies.  Otherwise run the greedy 2-SDS algorithm on the
+    inapproximability gadget G' and return its set S' restricted to V, which
+    always dominates G:
 
     - The gadget branch runs only when gamma(G) > k >= 1, so no vertex of G
       is universal: deg_G(v) <= n - 2 for every v in V.
@@ -208,9 +211,7 @@ def dom_set_approx(G: Graph, k: int) -> tuple[int, ...]:
         raise DisconnectedGraphError("dom_set_approx requires a connected graph")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    masks = G.closed_masks()
-    for size in range(1, min(k, G.n) + 1):
-        witness, _ = kernel.solve_level(masks, size, kernel.DOM)
-        if witness is not None:
-            return witness
+    witness, _ = kernel.solve_level(G.closed_masks(), kernel.DOM, 1, k)
+    if witness is not None:
+        return witness
     return tuple(v for v in approx_2sds(inapprox_gadget(G).graph) if v < G.n)

@@ -17,11 +17,18 @@ from secdom import (
     build_graph,
     cli,
     experiments,
-    graph_to_text,
     parse_graph,
+    write_graph,
 )
 from secdom.cli import main
 from secdom.graphio import GraphParseError
+
+
+def graph_text(G):
+    """The canonical file text of G, as `write_graph` writes it."""
+    buf = io.StringIO()
+    write_graph(G, buf)
+    return buf.getvalue()
 
 
 def run(capsys, *argv):
@@ -64,17 +71,17 @@ def run_or_exit(capsys, argv):
 class TestGraphFile:
     def test_round_trip(self):
         G = build_graph(5, [(4, 0), (1, 3), (0, 1)])
-        assert parse_graph(io.StringIO(graph_to_text(G))) == G
+        assert parse_graph(io.StringIO(graph_text(G))) == G
 
     @given(st.integers(1, 7), st.data())
     def test_round_trip_property(self, n, data):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         G = build_graph(n, chosen)
-        text = graph_to_text(G)
+        text = graph_text(G)
         assert parse_graph(io.StringIO(text)) == G
         # canonical form is itself a fixed point
-        assert graph_to_text(parse_graph(io.StringIO(text))) == text
+        assert graph_text(parse_graph(io.StringIO(text))) == text
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -328,7 +335,7 @@ class TestApprox:
 
     def test_dom_set_approx_past_the_exact_budget(self, capsys, tmp_path):
         f = tmp_path / "p30.txt"
-        f.write_text(graph_to_text(build_graph(30, [(i, i + 1) for i in range(29)])))
+        write_graph(build_graph(30, [(i, i + 1) for i in range(29)]), str(f))
         code, out, _ = run(
             capsys, "approx", str(f), "--algorithm", "dom-set-approx", "-k", "1"
         )

@@ -60,10 +60,11 @@ class TestFindDefenders:
     def test_full_set_always_defendable_and_lex_least(self):
         G = random_connected(6, 0.5, random.Random(3))
         S = set(range(G.n))
+        nbrs = open_neighbourhoods(G)
         expected = min(
             (v1, v2)
-            for v1 in G.closed_neighborhood(1)
-            for v2 in G.closed_neighborhood(4)
+            for v1 in nbrs[1] | {1}
+            for v2 in nbrs[4] | {4}
             if v1 != v2 and oracle_dominating(G, (S - {v1, v2}) | {1, 4})
         )
         assert find_defenders(G, range(G.n), 1, 4) == expected
@@ -471,7 +472,7 @@ KINDS = (kernel.DOM, kernel.TWO_DOM, kernel.TWO_SDS)
 class TestKernelBackends:
     """The compiled kernel, built by the `compiled_kernel` fixture, against
     the pure one: `kernel.solve_level` on the compiled kernel must return the
-    pure `witness` and its count, for every kind."""
+    pure `least` and its count, for every kind."""
 
     @pytest.fixture
     def compiled(self, compiled_kernel, monkeypatch):
@@ -483,8 +484,8 @@ class TestKernelBackends:
         masks = list(G.closed_masks())
         for kind in KINDS:
             for k in ks:
-                w = _pykernel.witness(masks, k, kind)
-                assert kernel.solve_level(masks, k, kind) == (
+                w = _pykernel.least(masks, kind, k, k)
+                assert kernel.solve_level(masks, kind, k, k) == (
                     w, kernel.examined(G.n, k, w)
                 ), (G.edges, k, kind)
 
@@ -518,8 +519,8 @@ class TestKernelBackends:
     def test_more_than_64_vertices_take_the_pure_kernel(self, compiled):
         masks = list(complete(65).closed_masks())
         with pytest.raises(ValueError):
-            compiled.witness(masks, 2, kernel.TWO_SDS)
-        assert kernel.solve_level(masks, 2, kernel.TWO_SDS) == ((0, 1), 1)
+            compiled.least(masks, kernel.TWO_SDS, 2, 2)
+        assert kernel.solve_level(masks, kernel.TWO_SDS, 2, 2) == ((0, 1), 1)
 
     @pytest.mark.parametrize(
         "masks, error",
@@ -527,15 +528,15 @@ class TestKernelBackends:
     )
     def test_bad_masks_rejected(self, masks, error, compiled):
         with pytest.raises(error):
-            compiled.witness(masks, 1, kernel.TWO_SDS)
+            compiled.least(masks, kernel.TWO_SDS, 1, 1)
 
     @pytest.mark.parametrize("kind", [3, -1])
     def test_unknown_kind_rejected(self, kind, compiled):
         masks = list(path(3).closed_masks())
         with pytest.raises(ValueError):
-            compiled.witness(masks, 1, kind)
+            compiled.least(masks, kind, 1, 1)
         with pytest.raises(ValueError):
-            _pykernel.witness(masks, 1, kind)
+            _pykernel.least(masks, kind, 1, 1)
 
     # The count of a flat scan of the k-combinations: none for k < 0 or
     # k > n, and the empty set, once, for k = 0.  Both backends run the same
@@ -549,18 +550,18 @@ class TestKernelBackends:
     def assert_outside_range_examines_nothing(backend, k):
         masks = list(path(3).closed_masks())
         for kind in KINDS:
-            assert backend.witness(masks, k, kind) is None
-            assert kernel.solve_level(masks, k, kind) == (None, 0)
+            assert backend.least(masks, kind, k, k) is None
+            assert kernel.solve_level(masks, kind, k, k) == (None, 0)
 
     @staticmethod
     def assert_zero_examines_the_empty_set(backend):
         masks = list(path(3).closed_masks())
         for kind in KINDS:
-            assert backend.witness(masks, 0, kind) is None
-            assert kernel.solve_level(masks, 0, kind) == (None, 1)
+            assert backend.least(masks, kind, 0, 0) is None
+            assert kernel.solve_level(masks, kind, 0, 0) == (None, 1)
             # the empty set dominates the empty graph, and is of every kind
-            assert backend.witness([], 0, kind) == ()
-            assert kernel.solve_level([], 0, kind) == ((), 1)
+            assert backend.least([], kind, 0, 0) == ()
+            assert kernel.solve_level([], kind, 0, 0) == ((), 1)
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_pure_level_outside_range_examines_nothing(self, k, pure):
@@ -608,7 +609,8 @@ class TestKernelBackends:
     def test_exact_minimum_agreement(self, name, compiled, monkeypatch):
         """The same report on either backend: value, witness, count and, for
         2-SDS, certificate.  The count is that of a flat scan from the first
-        level `kernel.least_set` scans: size 2 for 2-SDS, else 0."""
+        level of the solver's one `kernel.solve_level` call: size 2 for
+        2-SDS, else 0."""
         build, problem = self.EXACT_SOLVES[name]
         G = build()
 
@@ -646,7 +648,7 @@ class TestKernelBackends:
             start = time.monotonic()
             signal.setitimer(signal.ITIMER_REAL, 0.3)
             with pytest.raises(Interrupted):
-                kernel.solve_level(masks, 30, kernel.TWO_SDS)
+                kernel.solve_level(masks, kernel.TWO_SDS, 30, 30)
             assert time.monotonic() - start < 1.0
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -679,7 +681,7 @@ class TestLevelScan:
             masks = list(G.closed_masks())
             for k in range(0, G.n + 2):
                 expected = reference_first_subset(masks, k, accept)
-                assert kernel.solve_level(masks, k, kind) == expected, (G.edges, k)
+                assert kernel.solve_level(masks, kind, k, k) == expected, (G.edges, k)
 
     @pytest.mark.parametrize("name", ALTERNATING_PAIRS)
     def test_solve_level_where_failing_pairs_alternate(self, name, monkeypatch):
@@ -688,7 +690,7 @@ class TestLevelScan:
         masks = list(G.closed_masks())
         for k in range(1, G.n + 1):
             expected = reference_first_subset(masks, k, is_2sds)
-            got = kernel.solve_level(masks, k, kernel.TWO_SDS)
+            got = kernel.solve_level(masks, kernel.TWO_SDS, k, k)
             assert got == expected, (G.edges, k)
 
     @staticmethod
@@ -823,8 +825,8 @@ class TestLowerBounds:
             assert reference_first_subset(masks, gamma - 1, accept)[0] is None, n
             witness, _ = reference_first_subset(masks, gamma, accept)
             assert witness is not None, n
-            assert backend.witness(masks, gamma, kind) == witness, n
-            assert backend.witness(masks, gamma - 1, kind) is None, n
+            assert backend.least(masks, kind, gamma, gamma) == witness, n
+            assert backend.least(masks, kind, gamma - 1, gamma - 1) is None, n
 
     def test_combs(self, backend):
         """The k teeth of comb_k form a 2-packing, so dom level k - 1 is
@@ -832,8 +834,8 @@ class TestLowerBounds:
         spine is the witness."""
         for k in range(3, 13):
             masks = list(generate("comb", (k,)).closed_masks())
-            assert backend.witness(masks, k - 1, kernel.DOM) is None, k
-            assert backend.witness(masks, k, kernel.DOM) == tuple(range(k)), k
+            assert backend.least(masks, kernel.DOM, k - 1, k - 1) is None, k
+            assert backend.least(masks, kernel.DOM, k, k) == tuple(range(k)), k
 
     def test_compiled_bound_runs_before_the_search(self, compiled_kernel):
         """C64 has 2dom and 2-SDS number 32, and the degree bound proves
@@ -852,7 +854,7 @@ class TestLowerBounds:
         try:
             signal.setitimer(signal.ITIMER_REAL, 1.0)
             for kind in (kernel.TWO_DOM, kernel.TWO_SDS):
-                assert compiled_kernel.witness(masks, 31, kind) is None
+                assert compiled_kernel.least(masks, kind, 31, 31) is None
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -875,11 +877,11 @@ class TestLowerBounds:
         for n in range(4, 17):
             masks = self.Reads(cycle(n).closed_masks())
             for kind, (_, least) in self.CYCLE.items():
-                assert _pykernel.witness(masks, least(n) - 1, kind) is None
+                assert _pykernel.least(masks, kind, least(n) - 1, least(n) - 1) is None
             assert masks.reads == 0, n
         for k in range(3, 13):
             masks = self.Reads(generate("comb", (k,)).closed_masks())
-            assert _pykernel.witness(masks, k - 1, kernel.DOM) is None
+            assert _pykernel.least(masks, kernel.DOM, k - 1, k - 1) is None
             assert masks.reads == 0, k
 
     def test_packing_bound_cuts_a_prefix(self):
@@ -888,7 +890,7 @@ class TestLowerBounds:
         covers: the search of the level reads 11 masks (103 without the cut
         of each prefix that misses one)."""
         masks = self.Reads(path(12).closed_masks())
-        assert _pykernel.witness(masks, 4, kernel.DOM) == (1, 4, 7, 10)
+        assert _pykernel.least(masks, kernel.DOM, 4, 4) == (1, 4, 7, 10)
         assert masks.reads == 11
 
 
@@ -906,7 +908,7 @@ def graph_with_leaves(rng):
 class TestPrivateVertexCounts:
     """The private-vertex counts of the 2dom and 2-SDS level scans: the last
     pick, the prefix count, the final count of 2dom and its forced
-    vertices (proofs in `_pykernel.witness`).  They drop only nodes that
+    vertices (proofs in `_pykernel.least`).  They drop only nodes that
     hold no set of the kind, so both backends keep the flat scan's witness,
     also on graphs with isolated and pendant vertices."""
 
@@ -919,16 +921,16 @@ class TestPrivateVertexCounts:
             masks = list(G.closed_masks())
             for k in range(1, G.n + 1):
                 expected, _ = reference_first_subset(masks, k, accept)
-                assert backend.witness(masks, k, kind) == expected, (G.edges, k)
+                assert backend.least(masks, kind, k, k) == expected, (G.edges, k)
 
     def test_forced_vertices_bound_the_level(self):
         """A 2-dominating set holds every vertex of degree <= 1, so the five
         leaves of the star K1,5 prove 2dom level 4 empty before any search;
         the degree and packing bounds do not."""
         masks = TestLowerBounds.Reads(star(5).closed_masks())
-        assert _pykernel.witness(masks, 4, kernel.TWO_DOM) is None
+        assert _pykernel.least(masks, kernel.TWO_DOM, 4, 4) is None
         assert masks.reads == 0
-        assert _pykernel.witness(masks, 5, kernel.TWO_DOM) == (1, 2, 3, 4, 5)
+        assert _pykernel.least(masks, kernel.TWO_DOM, 5, 5) == (1, 2, 3, 4, 5)
 
     def test_forced_vertices_cut_the_2dom_search(self):
         """comb8 has 8 teeth of degree 1 and 2-domination number 11.  On
@@ -937,5 +939,80 @@ class TestPrivateVertexCounts:
         picks remain: the search of the level reads 300 masks (14,914
         without the private-vertex counts)."""
         masks = TestLowerBounds.Reads(generate("comb", (8,)).closed_masks())
-        assert _pykernel.witness(masks, 10, kernel.TWO_DOM) is None
+        assert _pykernel.least(masks, kernel.TWO_DOM, 10, 10) is None
         assert masks.reads == 300
+
+
+class TestLevelRange:
+    """`least(masks, kind, first, last)` on both backends: the witness of
+    the first non-empty level among the per-level calls `least(masks, kind,
+    k, k)` for k from `first` to `last`, or None; and the count of
+    `kernel.solve_level`, which sums the flat levels up to it."""
+
+    @pytest.mark.parametrize(
+        "graphs", [f"classes-n{n}" for n in range(1, 7)] + ["random"]
+    )
+    def test_first_non_empty_level(self, graphs, backend):
+        for G in level_scan_family(graphs):
+            masks = list(G.closed_masks())
+            sizes = range(-1, G.n + 2)
+            for kind in KINDS:
+                levels = {k: backend.least(masks, kind, k, k) for k in sizes}
+                for first in sizes:
+                    for last in sizes:
+                        found = (levels[k] for k in range(first, last + 1))
+                        expected = next((w for w in found if w is not None), None)
+                        got = backend.least(masks, kind, first, last)
+                        assert got == expected, (G.edges, kind, first, last)
+
+    @pytest.mark.parametrize("graphs", ["classes-n5", "random"])
+    def test_count_sums_the_levels(self, graphs):
+        for G in level_scan_family(graphs):
+            masks = list(G.closed_masks())
+            for kind in KINDS:
+                for first in range(-1, G.n + 2):
+                    count = 0
+                    for k in range(first, G.n + 2):
+                        witness, examined = kernel.solve_level(masks, kind, k, k)
+                        count += examined
+                        if witness is not None:
+                            break
+                    assert kernel.solve_level(masks, kind, first, G.n + 1) == (
+                        witness,
+                        count,
+                    ), (G.edges, kind, first)
+
+    def test_below_the_least_size_or_an_empty_range(self, backend):
+        for G in (cycle(9), generate("comb", (5,)), gs_graph(path(3)).graph):
+            masks = list(G.closed_masks())
+            for kind in KINDS:
+                gamma = len(backend.least(masks, kind, 0, G.n))
+                assert backend.least(masks, kind, 0, gamma - 1) is None
+                assert backend.least(masks, kind, gamma, gamma - 1) is None
+                assert backend.least(masks, kind, gamma + 1, gamma) is None
+
+    def test_a_huge_last_is_clipped_at_n(self):
+        """`dom_set_approx(G, 10**9)` gives the set of k = n at once, and a
+        range above n counts nothing: the flat count is summed up to n, not
+        up to `last`."""
+
+        class Slow(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Slow
+
+        G = generate("comb", (5,))
+        masks = list(G.closed_masks())
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            assert dom_set_approx(G, 10**9) == dom_set_approx(G, G.n)
+            for kind in KINDS:
+                assert kernel.solve_level(masks, kind, G.n + 1, 10**9) == (None, 0)
+                assert kernel.solve_level(masks, kind, 0, 10**9) == kernel.solve_level(
+                    masks, kind, 0, G.n
+                )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
